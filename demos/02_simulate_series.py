@@ -21,7 +21,6 @@ from ginar import (
     check_stationarity,
     read_series,
     simulate,
-    thin,
     write_series,
 )
 
@@ -34,8 +33,8 @@ def acf1(series):
 def main():
     rng = np.random.default_rng(7)
 
-    print("one thinning step: thin(Bernoulli(0.4), 10) sums ten coin flips")
-    draws = [thin(Bernoulli(0.4), 10, rng) for _ in range(8)]
+    print("one thinning step: Bernoulli(0.4).sample_sum(10, rng) sums ten coin flips")
+    draws = [Bernoulli(0.4).sample_sum(10, rng) for _ in range(8)]
     print(f"  draws: {draws}  (Binomial(10, 0.4) in law, mean 4)")
 
     print()

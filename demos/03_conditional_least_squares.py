@@ -13,7 +13,6 @@ from ginar import (
     GinarModel,
     Poisson,
     SimConfig,
-    build_regressors,
     estimate_moment_matrices,
     fit_cls,
     simulate,
@@ -40,8 +39,7 @@ def main():
     fit = fit_cls(series, 1)
     print(format_fit_report(fit))
 
-    rows = build_regressors(series, 1)
-    moments = estimate_moment_matrices(rows, fit.mu_hat, fit.theta_hat)
+    moments = estimate_moment_matrices(fit)
     se = np.sqrt(np.diag(moments.v) / fit.n_eff)
     print()
     print("asymptotic standard errors from the assembled covariance:")

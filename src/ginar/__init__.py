@@ -21,7 +21,6 @@ from .errors import (
     EstimationError,
     GinarError,
     InputError,
-    KappaDomainError,
     NumericalError,
     SingularMatrixError,
     TestError,
@@ -34,7 +33,6 @@ from .simulate import (
     read_series,
     sample_path,
     simulate,
-    thin,
     write_series,
 )
 from .cls import (
@@ -46,8 +44,6 @@ from .cls import (
     build_regressors,
     estimate_moment_matrices,
     fit_cls,
-    fit_mean,
-    fit_var,
 )
 from .dispersion_test import (
     NullSpec,

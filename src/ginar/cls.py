@@ -19,7 +19,7 @@ cross-term-free form the CLS estimating functions admit and in the general
 form with a nonzero J_vm block.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "CLSFit",
     "MomentMatrices",
     "build_regressors",
-    "fit_mean",
-    "fit_var",
     "fit_cls",
     "estimate_moment_matrices",
     "assemble_V_cls",
@@ -51,10 +49,6 @@ class Regressors:
 
     def __len__(self):
         return self.response.shape[0]
-
-    @property
-    def order(self):
-        return self.design.shape[1] - 1
 
 
 def build_regressors(series, p):
@@ -78,54 +72,44 @@ def build_regressors(series, p):
     return Regressors(response=z[p:], design=design)
 
 
-def _gram_inverse(rows):
+@dataclass(frozen=True)
+class CLSFit:
+    """Both CLS stages plus the rows and inverse Gram matrix mean(Y Y')^{-1}
+    they share, which the moment matrices reuse."""
+
+    mu_hat: np.ndarray
+    theta_hat: np.ndarray
+    rows: Regressors
+    gram_inv: np.ndarray
+    warnings: tuple = ()
+
+    @property
+    def n_eff(self):
+        return len(self.rows)
+
+
+def fit_cls(series, p):
+    """Run both CLS stages on a series and collect estimate-quality warnings.
+
+    The regressors are built and their Gram matrix inverted once, for both
+    stages.
+    """
+    rows = build_regressors(series, p)
     n_eff = len(rows)
-    gram = rows.design.T @ rows.design / n_eff
+    if n_eff < p + 2:
+        raise EstimationError(f"need at least p + 2 = {p + 2} rows, got {n_eff}")
+    design = rows.design
     try:
-        return invert(gram), gram
+        gram_inv = invert(design.T @ design / n_eff)
     except SingularMatrixError as exc:
         raise EstimationError(
             "singular Gram matrix: regressor columns are linearly dependent "
             f"(pivot {exc.pivot_index}); a constant series is the typical cause"
         ) from exc
+    mu_hat = gram_inv @ (design.T @ rows.response / n_eff)
+    residuals = rows.response - design @ mu_hat
+    theta_hat = gram_inv @ (design.T @ residuals**2 / n_eff)
 
-
-def fit_mean(rows):
-    """Closed-form CLS estimate of (mu_1, ..., mu_p, mu_eps)."""
-    if len(rows) < rows.order + 2:
-        raise EstimationError(f"need at least p + 2 = {rows.order + 2} rows, got {len(rows)}")
-    gram_inv, _ = _gram_inverse(rows)
-    return gram_inv @ (rows.design.T @ rows.response / len(rows))
-
-
-def fit_var(rows, mu_hat):
-    """Closed-form CLS estimate of (sigma^2_1, ..., sigma^2_p, sigma^2_eps).
-
-    Regresses squared mean-stage residuals on the same design. Components
-    can be negative on unlucky samples; the caller decides how to flag.
-    """
-    if len(rows) < rows.order + 2:
-        raise EstimationError(f"need at least p + 2 = {rows.order + 2} rows, got {len(rows)}")
-    gram_inv, _ = _gram_inverse(rows)
-    residuals = rows.response - rows.design @ np.asarray(mu_hat, dtype=np.float64)
-    return gram_inv @ (rows.design.T @ residuals**2 / len(rows))
-
-
-@dataclass(frozen=True)
-class CLSFit:
-    """Both CLS stages plus bookkeeping."""
-
-    mu_hat: np.ndarray
-    theta_hat: np.ndarray
-    n_eff: int
-    warnings: tuple = ()
-
-
-def fit_cls(series, p):
-    """Run both CLS stages on a series and collect estimate-quality warnings."""
-    rows = build_regressors(series, p)
-    mu_hat = fit_mean(rows)
-    theta_hat = fit_var(rows, mu_hat)
     warnings = []
     thinning_means = mu_hat[:-1]
     if np.any(thinning_means < 0.0) or thinning_means.sum() >= 1.0:
@@ -137,24 +121,24 @@ def fit_cls(series, p):
         if value < 0.0:
             label = "innovation" if i == p else f"lag {i + 1}"
             warnings.append(f"variance estimate for {label} is negative ({value:.6g})")
-    return CLSFit(mu_hat=mu_hat, theta_hat=theta_hat, n_eff=len(rows), warnings=tuple(warnings))
+    return CLSFit(mu_hat=mu_hat, theta_hat=theta_hat, rows=rows, gram_inv=gram_inv, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
 class MomentMatrices:
     """Empirical moment matrices and the assembled joint covariance.
 
-    jm = jv = mean of Y Y'; im, imv, iv are the score-variance blocks; v is
+    jm = mean of Y Y' (the CLS estimating functions give J_v = J_m, so it
+    serves both stages); im, imv, iv are the score-variance blocks; v is
     the assembled 2(p+1) covariance of sqrt(n_eff) * (mu_hat, theta_hat)
     around truth, partitioned into (p+1) blocks v11, v12, v21, v22.
     """
 
     jm: np.ndarray
-    jv: np.ndarray
     im: np.ndarray
     imv: np.ndarray
     iv: np.ndarray
-    v: np.ndarray = field(default=None)
+    v: np.ndarray
 
     @property
     def _half(self):
@@ -177,51 +161,47 @@ class MomentMatrices:
         return self.v[self._half :, self._half :]
 
 
-def estimate_moment_matrices(rows, mu_hat, theta_hat):
-    """Plug-in moment matrices, all empirical means over the n_eff rows.
+def estimate_moment_matrices(fit):
+    """Plug-in moment matrices of a CLSFit, all empirical means over its rows.
 
     With residual r_t = Z_t - mu_hat'Y and fitted variance v_t = theta_hat'Y:
 
-        jm = jv = mean(Y Y')
+        jm  = mean(Y Y')
         im  = mean(v_t * Y Y')
         imv = mean(r_t^3 * Y Y')
         iv  = mean((r_t^4 - v_t^2) * Y Y')
 
-    and v is assembled via ``assemble_V_cls``.
+    and v is assembled via ``assemble_V_cls`` from the fit's ``gram_inv``.
     """
-    design = rows.design
-    n_eff = len(rows)
-    residuals = rows.response - design @ np.asarray(mu_hat, dtype=np.float64)
-    fitted_var = design @ np.asarray(theta_hat, dtype=np.float64)
+    design = fit.rows.design
+    n_eff = fit.n_eff
+    residuals = fit.rows.response - design @ fit.mu_hat
+    fitted_var = design @ fit.theta_hat
 
     def weighted_mean(weights):
         return (design * weights[:, None]).T @ design / n_eff
 
-    jm = design.T @ design / n_eff
-    mm = MomentMatrices(
-        jm=jm,
-        jv=jm.copy(),
-        im=weighted_mean(fitted_var),
-        imv=weighted_mean(residuals**3),
-        iv=weighted_mean(residuals**4 - fitted_var**2),
+    im = weighted_mean(fitted_var)
+    imv = weighted_mean(residuals**3)
+    iv = weighted_mean(residuals**4 - fitted_var**2)
+    return MomentMatrices(
+        jm=design.T @ design / n_eff,
+        im=im,
+        imv=imv,
+        iv=iv,
+        v=assemble_V_cls(fit.gram_inv, im, imv, iv),
     )
-    return replace(mm, v=assemble_V_cls(mm))
 
 
-def assemble_V_cls(m):
-    """Assemble V from CLS moment matrices (zero J_vm cross block).
+def assemble_V_cls(jm_inv, im, imv, iv):
+    """Assemble V from CLS moment matrices (zero J_vm cross block, J_v = J_m).
 
-    v11 = jm^{-1} im jm^{-1}; v12 = jm^{-1} imv jv^{-1}; v21 = v12';
-    v22 = jv^{-1} iv jv^{-1}.
+    v11 = jm^{-1} im jm^{-1}; v12 = jm^{-1} imv jm^{-1}; v21 = v12';
+    v22 = jm^{-1} iv jm^{-1}.
     """
-    try:
-        jm_inv = invert(m.jm)
-        jv_inv = invert(m.jv)
-    except SingularMatrixError as exc:
-        raise EstimationError(f"singular moment matrix: {exc}") from exc
-    v11 = jm_inv @ m.im @ jm_inv
-    v12 = jm_inv @ m.imv @ jv_inv
-    v22 = jv_inv @ m.iv @ jv_inv
+    v11 = jm_inv @ im @ jm_inv
+    v12 = jm_inv @ imv @ jm_inv
+    v22 = jm_inv @ iv @ jm_inv
     return np.block([[v11, v12], [v12.T, v22]])
 
 
@@ -236,7 +216,7 @@ def assemble_V_general(jm, jv, jvm, im, imv, iv):
         v22 = jv^{-1} (iv + jvm jm^{-1} im jm^{-1} jvm'
                        - imv' jm^{-1} jvm' - jvm jm^{-1} imv) jv^{-1}
 
-    which reduce to ``assemble_V_cls`` when jvm = 0.
+    which reduce to ``assemble_V_cls`` when jvm = 0 and jv = jm.
     """
     jm_inv = invert(np.asarray(jm, dtype=np.float64))
     jv_inv = invert(np.asarray(jv, dtype=np.float64))
@@ -278,7 +258,7 @@ def format_fit_report(fit):
 def format_moment_report(m):
     """Structured text report for MomentMatrices."""
     lines = []
-    for name, mat in (("Jm", m.jm), ("Jv", m.jv), ("Im", m.im), ("Imv", m.imv), ("Iv", m.iv), ("V", m.v)):
+    for name, mat in (("Jm", m.jm), ("Im", m.im), ("Imv", m.imv), ("Iv", m.iv), ("V", m.v)):
         lines.append(f"  {name}:")
         lines.append(_format_matrix(mat))
     return "moment matrices\n" + "\n".join(lines)

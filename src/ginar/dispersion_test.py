@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cls import build_regressors, estimate_moment_matrices, fit_cls
+from .cls import estimate_moment_matrices, fit_cls
 from .distributions import KappaFamily, parse_kappa
 from .errors import InputError, SingularMatrixError, TestError
-from .numerics import chi_square_quantile, chi_square_survival, invert
+from .numerics import chi_square_survival, invert
 
 __all__ = [
     "NullSpec",
@@ -104,7 +104,7 @@ def build_K(null, mu_hat):
                 f"admissible range {kappa.range_text} of the {kappa.name} kappa "
                 "family; formulas evaluated by smooth extension"
             )
-        diag[i] = kappa.derivative_extended(mu)
+        diag[i] = kappa.derivative(mu)
     return np.diag(diag), warnings
 
 
@@ -160,13 +160,10 @@ def _run(series, p, null, indices, level):
     if null.order != p:
         raise InputError(f"null spec has {null.order + 1} families, expected p+1 = {p + 1}")
     fit = fit_cls(series, p)
-    rows = build_regressors(series, p)
-    moments = estimate_moment_matrices(rows, fit.mu_hat, fit.theta_hat)
+    moments = estimate_moment_matrices(fit)
     K, k_warnings = build_K(null, fit.mu_hat)
     w_full = assemble_W(K, moments.v)
-    kappa_vals = np.array(
-        [k.value_extended(mu) for k, mu in zip(null.kappas, fit.mu_hat)]
-    )
+    kappa_vals = np.array([k.value(mu) for k, mu in zip(null.kappas, fit.mu_hat)])
     d_full = kappa_vals - fit.theta_hat
 
     idx = _resolve_indices(indices, p + 1)
@@ -177,12 +174,11 @@ def _run(series, p, null, indices, level):
     statistic = test_statistic(d, w, fit.n_eff)
     df = len(idx)
     p_value = chi_square_survival(max(statistic, 0.0), df)
-    reject = statistic >= chi_square_quantile(1.0 - level, df)
     return TestResult(
         statistic=statistic,
         df=df,
         p_value=p_value,
-        reject=bool(reject),
+        reject=bool(p_value <= level),
         level=level,
         discrepancy=d,
         w_hat=w,
@@ -195,7 +191,8 @@ def run_test(series, p, null, level=0.05):
     """Full test of the mean-variance null across all p+1 components.
 
     Pipeline: CLS fit, plug-in moment matrices, K and W assembly, then the
-    chi-square decision at the given level with p+1 degrees of freedom.
+    chi-square p-value with p+1 degrees of freedom; the null is rejected
+    when it is at most the level.
     """
     return _run(series, p, null, range(1, p + 2), level)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, KappaDomainError
+from .errors import InputError
 
 __all__ = [
     "CountDistribution",
@@ -295,11 +295,10 @@ class BerG(CountDistribution):
 class KappaFamily:
     """A map mu -> kappa(mu) giving a family's variance at mean mu.
 
-    ``value`` and ``derivative`` enforce the admissible mean range and raise
-    ``KappaDomainError`` outside it; the ``*_extended`` variants evaluate the
-    same polynomial formulas on all of R, for callers that prefer to warn
-    and proceed (the test pipeline does, so a boundary-ish estimate does not
-    abort a whole Monte Carlo run).
+    ``value`` and ``derivative`` evaluate the polynomial formulas on all of
+    R; ``admissible`` tells whether mu lies in the family's mean range. The
+    test pipeline warns about inadmissible means and proceeds, so a
+    boundary-ish estimate does not abort a whole Monte Carlo run.
     """
 
     name = "kappa"
@@ -308,26 +307,11 @@ class KappaFamily:
     def admissible(self, mu):
         raise NotImplementedError
 
-    def value_extended(self, mu):
-        raise NotImplementedError
-
-    def derivative_extended(self, mu):
-        raise NotImplementedError
-
-    def _check(self, mu):
-        if not self.admissible(mu):
-            raise KappaDomainError(
-                f"mean {mu} outside admissible range {self.range_text} "
-                f"for the {self.name} kappa family"
-            )
-
     def value(self, mu):
-        self._check(mu)
-        return self.value_extended(mu)
+        raise NotImplementedError
 
     def derivative(self, mu):
-        self._check(mu)
-        return self.derivative_extended(mu)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -340,10 +324,10 @@ class BernoulliKappa(KappaFamily):
     def admissible(self, mu):
         return 0.0 < mu < 1.0
 
-    def value_extended(self, mu):
+    def value(self, mu):
         return mu * (1.0 - mu)
 
-    def derivative_extended(self, mu):
+    def derivative(self, mu):
         return 1.0 - 2.0 * mu
 
 
@@ -357,10 +341,10 @@ class PoissonKappa(KappaFamily):
     def admissible(self, mu):
         return mu > 0.0
 
-    def value_extended(self, mu):
+    def value(self, mu):
         return mu
 
-    def derivative_extended(self, mu):
+    def derivative(self, mu):
         return 1.0
 
 
@@ -379,10 +363,10 @@ class NegBinomialKappa(KappaFamily):
     def admissible(self, mu):
         return mu > 0.0
 
-    def value_extended(self, mu):
+    def value(self, mu):
         return (mu + self.r) * mu / self.r
 
-    def derivative_extended(self, mu):
+    def derivative(self, mu):
         return 2.0 * mu / self.r + 1.0
 
 

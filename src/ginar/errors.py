@@ -15,10 +15,6 @@ class InputError(GinarError):
     """Malformed user input: config text, series files, spec strings."""
 
 
-class KappaDomainError(GinarError):
-    """Mean passed to a kappa family outside its admissible range."""
-
-
 class NumericalError(GinarError):
     """Base class for numerical failures (singularity, estimation)."""
 

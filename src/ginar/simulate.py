@@ -5,10 +5,11 @@ The process follows the thinning recursion
     Z_t = sum_{i=1..p} thin(counting[i], Z_{t-i}) + eps_t,
 
 where ``thin(spec, k)`` is the sum of ``k`` independent draws from the lag's
-counting-sequence distribution and ``eps_t`` is an i.i.d. innovation. The
-recursion is started from ``p`` pre-sample values drawn from the innovation
-distribution and a burn-in stretch (default 1000 steps) is discarded, so the
-returned stretch is effectively stationary.
+counting-sequence distribution (drawn in one shot by ``spec.sample_sum(k,
+rng)`` through the family's exact convolution law) and ``eps_t`` is an i.i.d.
+innovation. The recursion is started from ``p`` pre-sample values drawn from
+the innovation distribution and a burn-in stretch (default 1000 steps) is
+discarded, so the returned stretch is effectively stationary.
 
 Reproducibility: ``simulate`` is a pure function of (model, config); the
 seed drives a dedicated PCG64 stream, so identical inputs give bitwise
@@ -28,7 +29,6 @@ __all__ = [
     "check_stationarity",
     "GinarModel",
     "SimConfig",
-    "thin",
     "sample_path",
     "simulate",
     "read_series",
@@ -101,18 +101,6 @@ class SimConfig:
             raise ValueError(f"burn-in must be nonnegative, got {self.burn_in}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-
-
-def thin(spec, count, rng):
-    """Apply the thinning operator: sum of ``count`` i.i.d. draws from ``spec``.
-
-    Evaluated through the family's exact convolution law (one or two
-    generator calls instead of ``count``), which is identical in
-    distribution to summing individual draws. Zero when ``count`` is 0.
-    """
-    if count < 0:
-        raise ValueError(f"thinning count must be nonnegative, got {count}")
-    return spec.sample_sum(int(count), rng)
 
 
 def sample_path(model, n, burn_in, rng):

@@ -13,15 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from conftest import record_criterion
-from ginar.cls import (
-    MomentMatrices,
-    assemble_V_cls,
-    assemble_V_general,
-    build_regressors,
-    fit_cls,
-    fit_mean,
-    fit_var,
-)
+from ginar.cls import assemble_V_cls, assemble_V_general, build_regressors, fit_cls
 from ginar.dispersion_test import NullSpec, run_subvector_test, run_test
 from ginar.distributions import (
     BerG,
@@ -34,7 +26,7 @@ from ginar.distributions import (
     ZJExtended,
 )
 from ginar.montecarlo import ExperimentGrid, run_cell, run_size_experiment
-from ginar.numerics import chi_square_quantile, chi_square_survival
+from ginar.numerics import chi_square_quantile, chi_square_survival, invert
 from ginar.simulate import GinarModel, SimConfig, sample_path, simulate
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -153,11 +145,12 @@ def test_criterion_4_closed_form_vs_optimizer():
             )
             return best.x
 
-        mu_hat = fit_mean(rows)
+        fit = fit_cls(series, 1)
+        mu_hat = fit.mu_hat
         mu_opt = optimize(lambda mu: np.sum((y - x @ mu) ** 2))
         worst = max(worst, float(np.max(np.abs(mu_hat - mu_opt))))
 
-        theta_hat = fit_var(rows, mu_hat)
+        theta_hat = fit.theta_hat
         resid_sq = (y - x @ mu_hat) ** 2
         theta_opt = optimize(lambda th: np.sum((resid_sq - x @ th) ** 2))
         worst = max(worst, float(np.max(np.abs(theta_hat - theta_opt))))
@@ -209,7 +202,7 @@ def test_criterion_6_covariance_assembly_equivalence():
         im = random_pd()
         iv = random_pd()
         imv = rng.normal(size=(dim, dim))
-        direct = assemble_V_cls(MomentMatrices(jm=jm, jv=jm.copy(), im=im, imv=imv, iv=iv))
+        direct = assemble_V_cls(invert(jm), im, imv, iv)
         general = assemble_V_general(jm, jm.copy(), np.zeros((dim, dim)), im, imv, iv)
         worst = max(worst, float(np.max(np.abs(direct - general))))
     check(

@@ -4,19 +4,18 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from ginar.cls import (
-    MomentMatrices,
+    CLSFit,
     assemble_V_cls,
     assemble_V_general,
     build_regressors,
     estimate_moment_matrices,
     fit_cls,
-    fit_mean,
-    fit_var,
     format_fit_report,
     format_moment_report,
 )
 from ginar.distributions import Bernoulli, Poisson
 from ginar.errors import EstimationError, InputError
+from ginar.numerics import invert
 from ginar.simulate import GinarModel, SimConfig, simulate
 
 
@@ -71,9 +70,8 @@ class TestBuildRegressors:
 
 class TestClosedForms:
     def test_constant_series_is_singular(self):
-        rows = build_regressors([2] * 30, 1)
         with pytest.raises(EstimationError, match="singular"):
-            fit_mean(rows)
+            fit_cls([2] * 30, 1)
 
     def test_alternating_series_matches_hand_solve(self):
         # series 0,1,0,1,... -> solve the 2x2 normal equations directly
@@ -82,17 +80,17 @@ class TestClosedForms:
         y, x = rows.response, rows.design
         lhs = x.T @ x
         mu_oracle = np.linalg.solve(lhs, x.T @ y)
-        assert_allclose(fit_mean(rows), mu_oracle, atol=1e-12)
+        fit = fit_cls(series, 1)
+        assert_allclose(fit.mu_hat, mu_oracle, atol=1e-12)
         resid_sq = (y - x @ mu_oracle) ** 2
         theta_oracle = np.linalg.solve(lhs, x.T @ resid_sq)
-        assert_allclose(fit_var(rows, mu_oracle), theta_oracle, atol=1e-12)
+        assert_allclose(fit.theta_hat, theta_oracle, atol=1e-12)
 
     def test_zero_residuals_give_zero_theta(self):
         # Z_t = Z_{t-1} + 1 fits exactly, so squared residuals vanish
-        rows = build_regressors(np.arange(12), 1)
-        mu_hat = fit_mean(rows)
-        assert_allclose(mu_hat, [1.0, 1.0], atol=1e-10)
-        assert_allclose(fit_var(rows, mu_hat), [0.0, 0.0], atol=1e-10)
+        fit = fit_cls(np.arange(12), 1)
+        assert_allclose(fit.mu_hat, [1.0, 1.0], atol=1e-10)
+        assert_allclose(fit.theta_hat, [0.0, 0.0], atol=1e-10)
 
     @pytest.mark.parametrize("seed,n", [(2, 50), (3, 321)])
     def test_matches_numeric_minimization(self, seed, n):
@@ -100,11 +98,12 @@ class TestClosedForms:
         rows = build_regressors(series, 1)
         y, x = rows.response, rows.design
 
-        mu_hat = fit_mean(rows)
+        fit = fit_cls(series, 1)
+        mu_hat = fit.mu_hat
         mu_opt = minimize_objective(lambda mu: np.sum((y - x @ mu) ** 2), np.array([0.5, 0.5]))
         assert_allclose(mu_hat, mu_opt, atol=1e-6)
 
-        theta_hat = fit_var(rows, mu_hat)
+        theta_hat = fit.theta_hat
         resid_sq = (y - x @ mu_hat) ** 2
         theta_opt = minimize_objective(
             lambda th: np.sum((resid_sq - x @ th) ** 2), np.array([0.5, 0.5])
@@ -115,9 +114,7 @@ class TestClosedForms:
         # Bernoulli(0.3) thinning + Poisson(1): theta_0 = (0.21, 1.0)
         series = simulated_series(100_000, 7)
         fit = fit_cls(series, 1)
-        moments = estimate_moment_matrices(
-            build_regressors(series, 1), fit.mu_hat, fit.theta_hat
-        )
+        moments = estimate_moment_matrices(fit)
         se = np.sqrt(np.diag(moments.v)[2:] / fit.n_eff)
         assert abs(fit.theta_hat[0] - 0.21) < 3.0 * se[0]
         assert abs(fit.theta_hat[1] - 1.0) < 3.0 * se[1]
@@ -153,15 +150,24 @@ class TestConsistencyAtScale:
 
 class TestMomentMatrices:
     def test_two_row_hand_computation(self):
+        # two rows are too few for fit_cls (p + 2 = 3), so build the fit by hand
         rows = build_regressors([2, 0, 3], 1)
-        fitted = estimate_moment_matrices(rows, np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        fit = CLSFit(
+            mu_hat=np.array([0.1, 0.2]),
+            theta_hat=np.array([0.3, 0.4]),
+            rows=rows,
+            gram_inv=np.array([[1.0, -1.0], [-1.0, 2.0]]),
+        )
+        fitted = estimate_moment_matrices(fit)
         assert_allclose(fitted.jm, [[2.0, 1.0], [1.0, 1.0]])
-        assert_allclose(fitted.jv, fitted.jm)
+        # fitted variances (1.0, 0.4): im = (1.0 * [[4, 2], [2, 1]] + 0.4 * [[0, 0], [0, 1]]) / 2
+        assert_allclose(fitted.im, [[2.0, 1.0], [1.0, 0.7]])
+        assert_allclose(fitted.v11, fit.gram_inv @ fitted.im @ fit.gram_inv)
 
     def test_structure(self):
         series = simulated_series(500, 11)
         fit = fit_cls(series, 1)
-        m = estimate_moment_matrices(build_regressors(series, 1), fit.mu_hat, fit.theta_hat)
+        m = estimate_moment_matrices(fit)
         assert_allclose(m.jm, m.jm.T)
         assert_allclose(m.im, m.im.T)
         assert_allclose(m.iv, m.iv.T)
@@ -173,25 +179,23 @@ class TestMomentMatrices:
         # E[Y Y'] = [[E Z^2, E Z], [E Z, 1]] with E Z = 10/7, E Z^2 = 170/49
         series = simulated_series(100_000, 13)
         fit = fit_cls(series, 1)
-        rows = build_regressors(series, 1)
-        m = estimate_moment_matrices(rows, fit.mu_hat, fit.theta_hat)
-        z = rows.design[:, 0]
+        m = estimate_moment_matrices(fit)
+        z = fit.rows.design[:, 0]
         se_z = z.std() / np.sqrt(len(z)) * 2.0
         se_z2 = (z**2).std() / np.sqrt(len(z)) * 2.0
         assert abs(m.jm[0, 1] - 10.0 / 7.0) < 3.0 * se_z
         assert abs(m.jm[0, 0] - 170.0 / 49.0) < 3.0 * se_z2
 
     def test_constant_regressors_singular(self):
-        rows = build_regressors([3] * 20, 1)
+        # the Gram matrix is inverted once, in fit_cls, before any moment matrix
         with pytest.raises(EstimationError):
-            estimate_moment_matrices(rows, np.array([0.0, 3.0]), np.array([0.0, 0.0]))
+            estimate_moment_matrices(fit_cls([3] * 20, 1))
 
 
 class TestAssembly:
     def test_identity_propagation(self):
         eye = np.eye(2)
-        m = MomentMatrices(jm=eye, jv=eye, im=eye, imv=np.zeros((2, 2)), iv=eye)
-        assert_allclose(assemble_V_cls(m), np.eye(4), atol=1e-14)
+        assert_allclose(assemble_V_cls(invert(eye), eye, np.zeros((2, 2)), eye), np.eye(4), atol=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
@@ -204,8 +208,7 @@ class TestAssembly:
             iv = c @ c.T + np.eye(3)
             imv = rng.normal(size=(3, 3))
             imv = 0.5 * (imv + imv.T)
-            m = MomentMatrices(jm=jm, jv=jm.copy(), im=im, imv=imv, iv=iv)
-            v = assemble_V_cls(m)
+            v = assemble_V_cls(invert(jm), im, imv, iv)
             assert_allclose(v, v.T, atol=1e-10)
 
     def test_general_reduces_to_cls_when_jvm_zero(self):
@@ -218,8 +221,7 @@ class TestAssembly:
             c = rng.normal(size=(dim, dim))
             iv = c @ c.T + np.eye(dim)
             imv = rng.normal(size=(dim, dim))
-            m = MomentMatrices(jm=jm, jv=jm.copy(), im=im, imv=imv, iv=iv)
-            direct = assemble_V_cls(m)
+            direct = assemble_V_cls(invert(jm), im, imv, iv)
             general = assemble_V_general(jm, jm.copy(), np.zeros((dim, dim)), im, imv, iv)
             assert_allclose(general, direct, atol=1e-12)
 
@@ -254,10 +256,9 @@ class TestSandwichSanity:
         v_sum = np.zeros((4, 4))
         for k in range(reps):
             series = simulated_series(n, 40_000 + k)
-            rows = build_regressors(series, 1)
             fit = fit_cls(series, 1)
             estimates[k] = np.concatenate([fit.mu_hat, fit.theta_hat])
-            v_sum += estimate_moment_matrices(rows, fit.mu_hat, fit.theta_hat).v
+            v_sum += estimate_moment_matrices(fit).v
         n_eff = n - 1
         empirical = np.cov((np.sqrt(n_eff) * (estimates - truth)).T)
         averaged = v_sum / reps
@@ -269,21 +270,18 @@ class TestDivisorInvariance:
         # using divisor n instead of n_eff scales V by n/n_eff but leaves
         # the final quadratic form n * d' W^{-1} d unchanged
         series = simulated_series(400, 17)
-        rows = build_regressors(series, 1)
         fit = fit_cls(series, 1)
-        m_eff = estimate_moment_matrices(rows, fit.mu_hat, fit.theta_hat)
+        m_eff = estimate_moment_matrices(fit)
 
         n = len(series)
         n_eff = fit.n_eff
         scale = n_eff / n
-        m_n = MomentMatrices(
-            jm=m_eff.jm * scale,
-            jv=m_eff.jv * scale,
-            im=m_eff.im * scale,
-            imv=m_eff.imv * scale,
-            iv=m_eff.iv * scale,
+        v_n = assemble_V_cls(
+            invert(m_eff.jm * scale),
+            m_eff.im * scale,
+            m_eff.imv * scale,
+            m_eff.iv * scale,
         )
-        v_n = assemble_V_cls(m_n)
         assert_allclose(v_n, m_eff.v * (n / n_eff), rtol=1e-12)
 
         d = np.array([0.05, -0.02, 0.01, 0.03])
@@ -304,7 +302,6 @@ class TestReports:
     def test_moment_report_fields(self):
         series = simulated_series(200, 23)
         fit = fit_cls(series, 1)
-        m = estimate_moment_matrices(build_regressors(series, 1), fit.mu_hat, fit.theta_hat)
-        report = format_moment_report(m)
-        for token in ("Jm", "Jv", "Im", "Imv", "Iv", "V"):
+        report = format_moment_report(estimate_moment_matrices(fit))
+        for token in ("Jm", "Im", "Imv", "Iv", "V"):
             assert token in report

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ginar import errors
+from ginar import cls, dispersion_test, errors, numerics
 from ginar.dispersion_test import (
     NullSpec,
     assemble_W,
@@ -69,6 +69,8 @@ class TestBuildK:
         assert_allclose(K[0, 0], 1.0 - 2.4)
         assert len(warnings) == 1
         assert "admissible range" in warnings[0]
+        assert "bernoulli" in warnings[0]
+        assert "(0, 1)" in warnings[0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -152,16 +154,57 @@ class TestStatistic:
         assert 0.0 < chi_square_quantile(0.95, 2)
 
 
+def assert_decision_rule(result):
+    quantile = chi_square_quantile(1.0 - result.level, result.df)
+    assert result.reject == (result.p_value <= result.level) == (result.statistic >= quantile)
+
+
 class TestRunTest:
     def test_result_invariants(self):
         result = run_test(h0_series(2000, 71), 1, BERN_POIS_NULL, 0.05)
         assert result.df == 2
         assert result.statistic >= 0.0
         assert_allclose(result.p_value, chi_square_survival(result.statistic, 2))
-        assert result.reject == (result.statistic >= chi_square_quantile(0.95, 2))
+        assert_decision_rule(result)
         assert result.indices == (1, 2)
         assert len(result.discrepancy) == 2
         assert result.w_hat.shape == (2, 2)
+
+        # p = 2: two Bernoulli lags and a Poisson innovation, then a subvector test
+        model = GinarModel(counting=(Bernoulli(0.3), Bernoulli(0.2)), innovation=Poisson(1.0))
+        series2 = simulate(model, SimConfig(n=2000, burn_in=1000, seed=72))
+        null2 = NullSpec((BernoulliKappa(), BernoulliKappa(), PoissonKappa()))
+        result2 = run_test(series2, 2, null2, 0.05)
+        assert result2.df == 3
+        assert result2.indices == (1, 2, 3)
+        assert_allclose(result2.p_value, chi_square_survival(max(result2.statistic, 0.0), 3))
+        assert_decision_rule(result2)
+
+        sub = run_subvector_test(series2, 2, null2, (1, 3), 0.10)
+        assert sub.df == 2
+        assert sub.indices == (1, 3)
+        assert sub.w_hat.shape == (2, 2)
+        assert_allclose(sub.p_value, chi_square_survival(max(sub.statistic, 0.0), 2))
+        assert_decision_rule(sub)
+
+    def test_single_pass(self, monkeypatch):
+        # one test builds the regressors once and inverts exactly two
+        # matrices: the Gram matrix (shared by both CLS stages and V) and W
+        calls = {"build_regressors": 0, "invert": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cls, "build_regressors", counting("build_regressors", cls.build_regressors))
+        wrapped_invert = counting("invert", numerics.invert)
+        for module in (cls, dispersion_test):
+            monkeypatch.setattr(module, "invert", wrapped_invert)
+        run_test(h0_series(500, 75), 1, BERN_POIS_NULL, 0.05)
+        assert calls == {"build_regressors": 1, "invert": 2}
 
     def test_detects_overdispersed_thinning(self):
         result = run_test(alt_series(2000, 73), 1, BERN_POIS_NULL, 0.05)

@@ -15,7 +15,7 @@ from ginar.distributions import (
     parse_distribution,
     parse_kappa,
 )
-from ginar.errors import InputError, KappaDomainError
+from ginar.errors import InputError
 
 ALL_FAMILIES = [
     Bernoulli(0.3),
@@ -177,20 +177,13 @@ class TestKappaFamilies:
             exact = family.derivative(mu)
             assert abs(numeric - exact) <= 1e-6 * max(1.0, abs(exact))
 
-    def test_domain_errors_name_family_and_bound(self):
-        with pytest.raises(KappaDomainError, match=r"bernoulli.*"):
-            BernoulliKappa().value(1.5)
-        with pytest.raises(KappaDomainError, match=r"\(0, 1\)"):
-            BernoulliKappa().derivative(-0.1)
-        with pytest.raises(KappaDomainError):
-            PoissonKappa().value(0.0)
-        with pytest.raises(KappaDomainError):
-            NegBinomialKappa(r=1.0).value(-2.0)
-
     def test_extended_evaluation_ignores_range(self):
         k = BernoulliKappa()
-        assert_allclose(k.value_extended(1.5), 1.5 * (1.0 - 1.5))
-        assert_allclose(k.derivative_extended(1.5), -2.0)
+        assert not k.admissible(1.5) and not k.admissible(-0.1)
+        assert not PoissonKappa().admissible(0.0)
+        assert not NegBinomialKappa(r=1.0).admissible(-2.0)
+        assert_allclose(k.value(1.5), 1.5 * (1.0 - 1.5))
+        assert_allclose(k.derivative(1.5), -2.0)
 
 
 class TestZJParameterization:

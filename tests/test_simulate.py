@@ -11,7 +11,6 @@ from ginar.simulate import (
     read_series,
     sample_path,
     simulate,
-    thin,
     write_series,
 )
 
@@ -45,24 +44,26 @@ class TestStationarity:
 
 
 class TestThin:
+    """The thinning operator is the counting family's ``sample_sum``."""
+
     def test_zero_count_is_empty_sum(self):
         rng = np.random.default_rng(0)
         for spec in (Bernoulli(0.5), Poisson(2.0), BerG(0.2, 0.3)):
-            assert thin(spec, 0, rng) == 0
+            assert spec.sample_sum(0, rng) == 0
 
     def test_degenerate_bernoulli_keeps_count(self):
         rng = np.random.default_rng(1)
-        assert thin(Bernoulli(1.0 - 1e-15), 7, rng) == 7
+        assert Bernoulli(1.0 - 1e-15).sample_sum(7, rng) == 7
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            thin(Bernoulli(0.5), -1, np.random.default_rng(2))
+            Bernoulli(0.5).sample_sum(-1, np.random.default_rng(2))
 
     def test_binomial_mean_oracle(self):
-        # thin(Bernoulli(0.4), 10) is Binomial(10, 0.4) with mean 4
+        # thinning 10 by Bernoulli(0.4) is Binomial(10, 0.4) with mean 4
         rng = np.random.default_rng(3)
         reps = 100_000
-        draws = np.array([thin(Bernoulli(0.4), 10, rng) for _ in range(reps)], dtype=float)
+        draws = np.array([Bernoulli(0.4).sample_sum(10, rng) for _ in range(reps)], dtype=float)
         se = draws.std() / np.sqrt(reps)
         assert abs(draws.mean() - 4.0) < 3.0 * se
 
