@@ -5,12 +5,16 @@ Six families are supported: Bernoulli, Poisson, negative binomial, geometric
 Bernoulli-geometric convolution BerG. Each family knows its analytic mean and
 variance, can draw single values or arrays, and can draw the *sum* of ``k``
 independent copies in one shot -- the operation the thinning operator needs.
+It also tabulates the exact pmf of that sum (``sum_pmf``). Every family is
+built from binomial, Poisson and negative binomial pieces, the three laws of
+Panjer's (a, b, 0) class, so one recurrence covers all of them.
 
 The module also houses the kappa families: the maps ``mu -> kappa(mu)`` that
 express a family's variance as a function of its mean, which is what the
 dispersion test checks.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -45,7 +49,11 @@ class CountDistribution:
     - ``sample(rng)``: one draw,
     - ``sample_array(size, rng)``: vectorized draws,
     - ``sample_sum(count, rng)``: one draw of the sum of ``count``
-      independent copies, using the family's exact convolution law.
+      independent copies, using the family's exact convolution law,
+    - ``sum_pmf(count)``: the pmf of that same sum as a float array over
+      0, 1, ..., truncated where the remaining tail is below 1e-18, or
+      ``None`` when the law cannot be tabulated (P(0) underflows, or the
+      row would exceed 2**20 entries).
 
     All sampling takes an explicit ``numpy.random.Generator`` so parallel
     callers never share mutable state.
@@ -68,10 +76,63 @@ class CountDistribution:
     def sample_sum(self, count, rng):
         raise NotImplementedError
 
+    def sum_pmf(self, count):
+        raise NotImplementedError
+
 
 def _require(condition, message):
     if not condition:
         raise ValueError(message)
+
+
+# Tabulation stops once the mass left beyond the row is provably below this.
+_TAIL = 1e-18
+# A P(0) below the smallest normal float counts as underflow.
+_TINY = float(np.finfo(np.float64).tiny)
+# Rows longer than this are refused (None) rather than tabulated.
+_MAX_ROW = 1 << 20
+
+
+def _panjer_pmf(a, b, p0, last=None):
+    """pmf of an (a, b, 0) law: P(x) = (a + b/x) P(x-1), starting from P(0) = p0.
+
+    Stops at ``x = last`` if given (the binomial support ends there), else
+    once the pmf is decreasing and its tail is negligible: for y > x every
+    ratio ``a + b/y`` is at most ``rho = max(a + b/(x+1), a)``, so when
+    ``rho < 1`` the mass beyond x is at most ``P(x) rho / (1 - rho)``.
+    Returns None when p0 underflows to a subnormal or the row would exceed
+    ``_MAX_ROW`` entries.
+    """
+    if not p0 >= _TINY:
+        return None
+    pmf = [p0]
+    px, x, ratio = p0, 0, a + b
+    while x != last:
+        x += 1
+        px *= ratio
+        pmf.append(px)
+        ratio = a + b / (x + 1)
+        rho = ratio if ratio > a else a
+        if rho < 1.0 and px * rho <= _TAIL * (1.0 - rho):
+            break
+        if x >= _MAX_ROW:
+            return None
+    return np.array(pmf)
+
+
+def _binomial_pmf(count, prob):
+    """pmf of Binomial(count, prob) on 0..count (or shorter, past a negligible tail)."""
+    if prob >= 1.0:
+        pmf = np.zeros(count + 1)
+        pmf[count] = 1.0
+        return pmf
+    odds = prob / (1.0 - prob)
+    return _panjer_pmf(-odds, (count + 1) * odds, math.exp(count * math.log1p(-prob)), last=count)
+
+
+def _negbin_pmf(r, prob):
+    """pmf of NB(r, prob): failures before the r-th success."""
+    return _panjer_pmf(1.0 - prob, (r - 1.0) * (1.0 - prob), prob**r)
 
 
 @dataclass(frozen=True)
@@ -100,6 +161,9 @@ class Bernoulli(CountDistribution):
             return 0
         return int(rng.binomial(count, self.prob))
 
+    def sum_pmf(self, count):
+        return _binomial_pmf(count, self.prob)
+
 
 @dataclass(frozen=True)
 class Poisson(CountDistribution):
@@ -126,6 +190,10 @@ class Poisson(CountDistribution):
         if count == 0:
             return 0
         return int(rng.poisson(count * self.rate))
+
+    def sum_pmf(self, count):
+        lam = count * self.rate
+        return _panjer_pmf(0.0, lam, math.exp(-lam))
 
 
 @dataclass(frozen=True)
@@ -161,6 +229,9 @@ class NegBinomial(CountDistribution):
             return 0
         return int(rng.negative_binomial(count * self.r, self.prob))
 
+    def sum_pmf(self, count):
+        return _negbin_pmf(count * self.r, self.prob)
+
 
 @dataclass(frozen=True)
 class Geometric(CountDistribution):
@@ -193,6 +264,9 @@ class Geometric(CountDistribution):
         if count == 0:
             return 0
         return int(rng.negative_binomial(count, self.prob))
+
+    def sum_pmf(self, count):
+        return _negbin_pmf(count, self.prob)
 
 
 @dataclass(frozen=True)
@@ -251,6 +325,21 @@ class ZJExtended(CountDistribution):
             return 0
         return m + int(rng.negative_binomial(m, self._shifted_geom_prob))
 
+    def sum_pmf(self, count):
+        # Mixture over m ~ Bin(count, b) of m + NB(m, q).
+        weights = _binomial_pmf(count, self._bernoulli_prob)
+        if weights is None:
+            return None
+        parts = [np.ones(1)] + [
+            _negbin_pmf(m, self._shifted_geom_prob) for m in range(1, len(weights))
+        ]
+        if any(part is None for part in parts):
+            return None
+        pmf = np.zeros(max(m + len(part) for m, part in enumerate(parts)))
+        for m, (part, weight) in enumerate(zip(parts, weights)):
+            pmf[m : m + len(part)] += weight * part
+        return pmf
+
 
 @dataclass(frozen=True)
 class BerG(CountDistribution):
@@ -290,6 +379,13 @@ class BerG(CountDistribution):
         return int(rng.binomial(count, self.pi)) + int(
             rng.negative_binomial(count, self._geom_prob)
         )
+
+    def sum_pmf(self, count):
+        hits = _binomial_pmf(count, self.pi)
+        extra = _negbin_pmf(count, self._geom_prob)
+        if hits is None or extra is None:
+            return None
+        return np.convolve(hits, extra)
 
 
 class KappaFamily:

@@ -5,11 +5,18 @@ The process follows the thinning recursion
     Z_t = sum_{i=1..p} thin(counting[i], Z_{t-i}) + eps_t,
 
 where ``thin(spec, k)`` is the sum of ``k`` independent draws from the lag's
-counting-sequence distribution (drawn in one shot by ``spec.sample_sum(k,
-rng)`` through the family's exact convolution law) and ``eps_t`` is an i.i.d.
-innovation. The recursion is started from ``p`` pre-sample values drawn from
-the innovation distribution and a burn-in stretch (default 1000 steps) is
-discarded, so the returned stretch is effectively stationary.
+counting-sequence distribution and ``eps_t`` is an i.i.d. innovation. The
+recursion is started from ``p`` pre-sample values drawn from the innovation
+distribution and a burn-in stretch (default 1000 steps) is discarded, so the
+returned stretch is effectively stationary.
+
+Each thinning sum is drawn by inverse transform: ``sample_path`` tabulates
+the CDF of ``thin(spec, k)`` from ``spec.sum_pmf(k)`` the first time a lag
+sees count ``k`` and maps one uniform to a count by binary search. Counts
+whose row would be long (mean + 10 sd above 64 entries), whose law cannot be
+tabulated, or that would push the path's tables past one entry per step are
+drawn with ``spec.sample_sum(k, rng)`` instead. Both routes draw the same
+exact law.
 
 Reproducibility: ``simulate`` is a pure function of (model, config); the
 seed drives a dedicated PCG64 stream, so identical inputs give bitwise
@@ -18,6 +25,8 @@ harness) can use ``sample_path`` with an explicit generator.
 """
 
 import csv
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +43,12 @@ __all__ = [
     "read_series",
     "write_series",
 ]
+
+# Counts whose thinning sum has mean + 10 sd above this are drawn with
+# ``sample_sum`` instead of a table row.
+_ROW_LIMIT = 64
+_UNSEEN = object()
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def check_stationarity(means):
@@ -103,24 +118,56 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
+def _cdf_row(spec, count, budget):
+    """CDF of ``thin(spec, count)`` as a list, or None to draw it with ``sample_sum``.
+
+    None when the row would be long (mean + 10 sd beyond ``_ROW_LIMIT``) or
+    would not fit in the path's remaining ``budget`` of table entries, and
+    when the law cannot be tabulated. Both length checks use the mean + 10 sd
+    estimate, so no row is built only to be thrown away.
+    """
+    size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
+    if size > _ROW_LIMIT or size > budget:
+        return None
+    pmf = spec.sum_pmf(count)
+    if pmf is None:
+        return None
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0  # the row holds all the mass, so a draw never leaves it
+    return cdf.tolist()
+
+
 def sample_path(model, n, burn_in, rng):
-    """Generate ``n`` post-burn-in values of the recursion with caller's rng."""
+    """Generate ``n`` post-burn-in values of the recursion with caller's rng.
+
+    Stream layout: the ``p`` initial innovations, the ``burn_in + n`` step
+    innovations, then ``(burn_in + n) * p`` uniforms. Lag ``i + 1`` at step
+    ``t`` (both counted from 0) consumes uniform ``t * p + i`` whether or not
+    its count is 0. Fallback draws through ``sample_sum`` come after all of
+    these.
+    """
     p = model.order
     steps = burn_in + n
-    history = [int(v) for v in model.innovation.sample_array(p, rng)]
-    eps = model.innovation.sample_array(steps, rng)
-    out = np.empty(steps, dtype=np.int64)
-    counting = model.counting
-    for t in range(steps):
-        z = int(eps[t])
-        for i, spec in enumerate(counting):
-            lagged = history[-1 - i]
-            if lagged > 0:
-                z += spec.sample_sum(lagged, rng)
-        out[t] = z
-        history.append(z)
-        history.pop(0)
-    return out[burn_in:]
+    path = model.innovation.sample_array(p, rng).tolist()
+    path.extend(model.innovation.sample_array(steps, rng).tolist())
+    uniforms = rng.random(steps * p).tolist()
+    lags = [(i + 1, spec, {}) for i, spec in enumerate(model.counting)]
+    budget = steps
+    u = 0
+    for t in range(p, p + steps):
+        z = path[t]
+        for lag, spec, rows in lags:
+            count = path[t - lag]
+            if count:
+                row = rows.get(count, _UNSEEN)
+                if row is _UNSEEN:
+                    row = rows[count] = _cdf_row(spec, count, budget)
+                    if row is not None:
+                        budget -= len(row)
+                z += spec.sample_sum(count, rng) if row is None else bisect_right(row, uniforms[u])
+            u += 1
+        path[t] = z
+    return np.array(path[p + burn_in :], dtype=np.int64)
 
 
 def simulate(model, config):
@@ -143,7 +190,7 @@ def read_series(path):
     """Read a single-column count CSV (optional ``count`` header).
 
     Returns an int64 array. Raises ``InputError`` with the line number on
-    the first non-integer or negative value, and on empty files.
+    the first non-integer, negative or above-int64 value, and on empty files.
     """
     values = []
     with open(path, newline="") as fh:
@@ -163,6 +210,8 @@ def read_series(path):
                 ) from None
             if value < 0:
                 raise InputError(f"{path}: line {lineno}: negative count {value}")
+            if value > _INT64_MAX:
+                raise InputError(f"{path}: line {lineno}: count {value} exceeds 2**63 - 1")
             values.append(value)
     if not values:
         raise InputError(f"{path}: no observations found")

@@ -140,6 +140,13 @@ class TestTestCommand:
         out = capsys.readouterr().out
         assert "statistic" in out and "p_value" in out
 
+    def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("count\n" + "1\n" * 10 + "100000000000000000000\n")
+        code = run_cli("test", "--input", str(path), "--order", "1", "--null", "bernoulli,poisson")
+        assert code == 2
+        assert "line 12" in capsys.readouterr().err
+
     def test_exit_zero_even_on_rejection(self, tmp_path, capsys):
         path = tmp_path / "alt.csv"
         run_cli(

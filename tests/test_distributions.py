@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from ginar.distributions import (
     BerG,
@@ -141,6 +142,77 @@ class TestSampling:
     def test_sample_sum_zero_count(self, dist):
         rng = np.random.default_rng(31)
         assert dist.sample_sum(0, rng) == 0
+
+
+def _padded(a, b):
+    size = max(len(a), len(b))
+    return np.pad(a, (0, size - len(a))), np.pad(b, (0, size - len(b)))
+
+
+class TestSumPmf:
+    """``sum_pmf(k)`` is the exact law that ``sample_sum(k, rng)`` draws from."""
+
+    SCIPY_LAWS = [
+        (Bernoulli(0.3), lambda x, k: stats.binom.pmf(x, k, 0.3)),
+        (Poisson(1.0), lambda x, k: stats.poisson.pmf(x, k * 1.0)),
+        (NegBinomial(2.0, 0.4), lambda x, k: stats.nbinom.pmf(x, k * 2.0, 0.4)),
+        (Geometric(0.35), lambda x, k: stats.nbinom.pmf(x, k, 0.35)),
+    ]
+
+    @pytest.mark.parametrize("dist,law", SCIPY_LAWS, ids=[type(d).__name__ for d, _ in SCIPY_LAWS])
+    @pytest.mark.parametrize("count", [1, 2, 5, 20])
+    def test_matches_scipy(self, dist, law, count):
+        pmf = dist.sum_pmf(count)
+        x = np.arange(len(pmf) + 50)
+        got, want = _padded(pmf, law(x, count))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("count", [1, 2, 5, 20])
+    def test_equals_k_fold_convolution(self, dist, count):
+        pmf = dist.sum_pmf(count)
+        single = dist.sum_pmf(1)
+        conv = np.ones(1)
+        for _ in range(count):
+            conv = np.convolve(conv, single)
+        got, want = _padded(pmf, conv)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        assert abs(pmf @ np.arange(len(pmf)) - count * dist.mean) < 1e-12 * max(1.0, count * dist.mean)
+
+    @pytest.mark.parametrize("prob", [0.3, 0.9, 1.0 - 1e-15])
+    def test_binomial_rows_stop_at_count(self, prob):
+        pmf = Bernoulli(prob).sum_pmf(7)
+        assert len(pmf) <= 8
+        assert np.all(pmf >= 0.0)
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        assert abs(pmf @ np.arange(len(pmf)) - 7 * prob) < 1e-12
+
+    def test_geometric_tail_stop_terminates(self):
+        # a loop stopping only at CDF >= 1 - 2**-53 never ends here
+        pmf = Geometric(0.35).sum_pmf(1)
+        assert len(pmf) < 200
+        assert abs(pmf.sum() - 1.0) < 1e-15
+
+    def test_underflowing_zero_mass_is_refused(self):
+        assert Poisson(5000.0).sum_pmf(1) is None
+        assert Bernoulli(0.999).sum_pmf(200) is None
+
+    def test_row_that_never_decreases_is_refused(self):
+        # prob 1e-17 rounds the (a, b, 0) ratio 1 - prob to exactly 1.0
+        assert Geometric(1e-17).sum_pmf(1) is None
+
+    @pytest.mark.parametrize(
+        "dist", ALL_FAMILIES + [ZJExtended(0.0, 0.4)], ids=lambda d: type(d).__name__
+    )
+    def test_zero_count_is_point_mass(self, dist):
+        pmf = dist.sum_pmf(0)
+        assert pmf[0] == 1.0 and np.all(pmf[1:] == 0.0)
+
+    @pytest.mark.parametrize("mu,point", [(0.0, 0), (1.0, 3)])
+    def test_zj_boundary_means_are_point_masses(self, mu, point):
+        pmf = ZJExtended(mu, 0.4).sum_pmf(3)
+        assert pmf[point] == 1.0 and pmf.sum() == 1.0
 
 
 class TestKappaFamilies:

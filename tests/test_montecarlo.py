@@ -92,6 +92,20 @@ class TestExperiments:
         t2 = run_size_experiment(SMOKE_GRID, jobs=2)
         assert t1 == t2
 
+    def test_grid_table_independent_of_jobs(self):
+        grid = ExperimentGrid(
+            pi_values=(0.2, 0.6),
+            xi_values=(0.0,),
+            n_values=(60, 150),
+            replications=24,
+            burn_in=50,
+            level=0.05,
+            master_seed=29,
+        )
+        serial = run_size_experiment(grid, jobs=1).csv_text()
+        assert run_size_experiment(grid, jobs=2).csv_text() == serial
+        assert len(serial.splitlines()) == 5
+
     def test_smoke_grid_rates_in_range(self):
         grid = ExperimentGrid(
             pi_values=(0.2, 0.5),

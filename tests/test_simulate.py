@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from scipy import stats
 
-from ginar.distributions import BerG, Bernoulli, Poisson
+from ginar.distributions import (
+    BerG,
+    Bernoulli,
+    Geometric,
+    NegBinomial,
+    Poisson,
+    ZJExtended,
+)
 from ginar.errors import InputError
 from ginar.simulate import (
     GinarModel,
@@ -156,6 +164,104 @@ class TestSimulate:
         assert abs(series.mean() - 2.0) < 4.0 * se
 
 
+ENGINE_FAMILIES = [
+    Bernoulli(0.3),
+    Poisson(1.0),
+    NegBinomial(2.0, 0.4),
+    Geometric(0.35),
+    ZJExtended(0.5, 0.5),
+    BerG(0.2, 0.1),
+]
+
+
+def _batch_se(values, batches=100):
+    """Standard error of a statistic of a long dependent series, from batch values."""
+    return np.std(values, ddof=1) / np.sqrt(batches)
+
+
+def _lag1(z):
+    zc = z - z.mean()
+    return np.dot(zc[1:], zc[:-1]) / np.dot(zc, zc)
+
+
+class TestEngineLaw:
+    """The table route and the ``sample_sum`` fallback draw the same law."""
+
+    @pytest.mark.parametrize("dist", ENGINE_FAMILIES, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_sample_sum_fits_sum_pmf(self, dist, count):
+        rng = np.random.default_rng(61)
+        reps = 20_000
+        draws = np.array([dist.sample_sum(count, rng) for _ in range(reps)])
+        expected = reps * dist.sum_pmf(count)
+        # one bin per value with expected count >= 5, the rest pooled at the top
+        cells = int(np.argmax(np.cumsum(expected[::-1]) >= 5.0))
+        top = len(expected) - cells - 1
+        observed = np.bincount(np.minimum(draws, top), minlength=top + 1)[: top + 1]
+        exp = np.append(expected[:top], reps - expected[:top].sum())
+        result = stats.chisquare(observed, exp)
+        assert result.pvalue > 1e-3, (observed, exp)
+
+    def test_table_route_matches_inverse_transform(self):
+        # stream layout: initial innovations, step innovations, then one
+        # uniform per lag and step, each mapped through the exact CDF
+        model = GinarModel(counting=(BerG(0.2, 0.3),), innovation=Poisson(1.0))
+        path = sample_path(model, 300, 0, np.random.default_rng(71))
+        rng = np.random.default_rng(71)
+        prev = int(model.innovation.sample_array(1, rng)[0])
+        eps = model.innovation.sample_array(300, rng)
+        uniforms = rng.random(300)
+        expected = []
+        for e, u in zip(eps, uniforms):
+            thinned = 0
+            if prev:
+                cdf = np.cumsum(model.counting[0].sum_pmf(prev))
+                thinned = int(np.searchsorted(cdf, u, side="right"))
+            prev = int(e) + thinned
+            expected.append(prev)
+        assert_array_equal(path, expected)
+
+    def test_small_counts_never_call_sample_sum(self, monkeypatch):
+        calls = []
+        original = BerG.sample_sum
+        monkeypatch.setattr(BerG, "sample_sum", lambda self, *a: calls.append(a) or original(self, *a))
+        model = GinarModel(counting=(BerG(0.2, 0.3),), innovation=Poisson(1.0))
+        sample_path(model, 500, 1000, np.random.default_rng(3))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "counting,rho1",
+        [
+            ((BerG(0.2, 0.3),), 0.5),
+            # AR(2) in the means: rho1 = mu1 / (1 - mu2)
+            ((NegBinomial(2.0, 0.9), Geometric(0.8)), (0.2 / 0.9) / (1.0 - 0.25)),
+        ],
+        ids=["berg", "negbin+geometric"],
+    )
+    def test_stationary_mean_and_lag1_autocorrelation(self, counting, rho1):
+        model = GinarModel(counting=counting, innovation=Poisson(1.0))
+        z = sample_path(model, 200_000, 1000, np.random.default_rng(83)).astype(float)
+        batches = z.reshape(100, -1)
+        mean = 1.0 / (1.0 - sum(spec.mean for spec in counting))
+        assert abs(z.mean() - mean) < 3.0 * _batch_se(batches.mean(axis=1))
+        assert abs(_lag1(z) - rho1) < 3.0 * _batch_se([_lag1(b) for b in batches])
+
+    def test_fallback_heavy_model_mean(self, monkeypatch):
+        # counts near 5000 give rows far beyond the table limit, so nearly
+        # every thinning sum goes through sample_sum
+        calls = []
+        original = Bernoulli.sample_sum
+        monkeypatch.setattr(
+            Bernoulli, "sample_sum", lambda self, *a: calls.append(1) or original(self, *a)
+        )
+        model = GinarModel(counting=(Bernoulli(0.01),), innovation=Poisson(5000.0))
+        n = 20_000
+        z = sample_path(model, n, 1000, np.random.default_rng(97)).astype(float)
+        assert len(calls) >= n
+        se = z.std() / np.sqrt(n) * np.sqrt(1.01 / 0.99)
+        assert abs(z.mean() - 5000.0 / 0.99) < 3.0 * se
+
+
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -179,6 +285,12 @@ class TestSeriesCsv:
         path = tmp_path / "neg.csv"
         path.write_text("2\n-1\n")
         with pytest.raises(InputError, match="line 2"):
+            read_series(path)
+
+    def test_count_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("count\n9223372036854775807\n100000000000000000000\n")
+        with pytest.raises(InputError, match="line 3"):
             read_series(path)
 
     def test_empty_file(self, tmp_path):
