@@ -17,6 +17,7 @@ and W to selected components (e.g. thinning lags only), with degrees of
 freedom equal to the number of tested components.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,18 @@ def assemble_W(K, V):
 
 
 def test_statistic(discrepancy, w_hat, n_eff):
-    """Quadratic form n_eff * d' W^{-1} d."""
+    """Quadratic form n_eff * d' W^{-1} d.
+
+    Raises ``TestError`` when d or W has non-finite entries (e.g. a kappa
+    derivative so large that W overflows), when W is singular, or when the
+    form itself overflows.
+    """
     d = np.asarray(discrepancy, dtype=np.float64)
+    if not (np.isfinite(d).all() and np.isfinite(w_hat).all()):
+        raise TestError(
+            "the discrepancy or W_hat has non-finite entries (overflow in the "
+            "kappa formulas or the moment matrices), so the test statistic is undefined"
+        )
     try:
         w_inv = invert(w_hat)
     except SingularMatrixError as exc:
@@ -139,7 +150,10 @@ def test_statistic(discrepancy, w_hat, n_eff):
             "specification is degenerate (e.g. a kappa derivative of zero), "
             "so the test statistic is undefined"
         ) from exc
-    return float(n_eff * d @ w_inv @ d)
+    statistic = float(n_eff * d @ w_inv @ d)
+    if not math.isfinite(statistic):
+        raise TestError(f"the test statistic overflowed to {statistic}")
+    return statistic
 
 
 def _resolve_indices(indices, dim):
@@ -174,6 +188,12 @@ def _run(series, p, null, indices, level):
     statistic = test_statistic(d, w, fit.n_eff)
     df = len(idx)
     p_value = chi_square_survival(max(statistic, 0.0), df)
+    warnings = tuple(fit.warnings) + tuple(k_warnings)
+    if statistic < 0.0:
+        warnings += (
+            f"test statistic {statistic:.6g} is negative because W_hat is indefinite "
+            "on the tested components; p-value set to 1 and the null kept",
+        )
     return TestResult(
         statistic=statistic,
         df=df,
@@ -183,7 +203,7 @@ def _run(series, p, null, indices, level):
         discrepancy=d,
         w_hat=w,
         indices=idx,
-        warnings=tuple(fit.warnings) + tuple(k_warnings),
+        warnings=warnings,
     )
 
 

@@ -172,7 +172,9 @@ class Poisson(CountDistribution):
     rate: float
 
     def __post_init__(self):
-        _require(self.rate > 0.0, f"Poisson rate must be positive, got {self.rate}")
+        _require(
+            0.0 < self.rate < math.inf, f"Poisson rate must be positive and finite, got {self.rate}"
+        )
 
     @property
     def mean(self):
@@ -209,7 +211,9 @@ class NegBinomial(CountDistribution):
     prob: float
 
     def __post_init__(self):
-        _require(self.r > 0.0, f"NegBinomial r must be positive, got {self.r}")
+        _require(
+            0.0 < self.r < math.inf, f"NegBinomial r must be positive and finite, got {self.r}"
+        )
         _require(0.0 < self.prob < 1.0, f"NegBinomial prob must lie in (0,1), got {self.prob}")
 
     @property
@@ -355,7 +359,7 @@ class BerG(CountDistribution):
 
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0, f"BerG pi must lie in (0,1), got {self.pi}")
-        _require(self.xi > 0.0, f"BerG xi must be positive, got {self.xi}")
+        _require(0.0 < self.xi < math.inf, f"BerG xi must be positive and finite, got {self.xi}")
 
     @property
     def mean(self):
@@ -454,7 +458,9 @@ class NegBinomialKappa(KappaFamily):
     range_text = "(0, inf)"
 
     def __post_init__(self):
-        _require(self.r > 0.0, f"NegBinomialKappa r must be positive, got {self.r}")
+        _require(
+            0.0 < self.r < math.inf, f"NegBinomialKappa r must be positive and finite, got {self.r}"
+        )
 
     def admissible(self, mu):
         return mu > 0.0

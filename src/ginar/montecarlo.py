@@ -19,6 +19,7 @@ denominator, never silently dropped.
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ class ExperimentGrid:
             if not 0.0 < pi < 1.0:
                 raise ValueError(f"pi must lie in (0,1), got {pi}")
         for xi in self.xi_values:
-            if xi < 0.0:
+            if not xi >= 0.0:
                 raise ValueError(f"xi must be nonnegative, got {xi}")
         for pi in self.pi_values:
             for xi in self.xi_values:
@@ -243,16 +244,21 @@ def parse_grid_config(text):
             raise InputError(f"line {lineno}: duplicate key {key!r}")
         values[key] = (lineno, rhs.strip())
 
-    def floats(key, default=None):
+    def floats(key, default=None, whole=False):
         if key not in values:
             if default is None:
                 raise InputError(f"missing required key {key!r}")
             return default
         lineno, rhs = values[key]
         try:
-            return tuple(float(tok) for tok in rhs.split(","))
+            numbers = tuple(float(tok) for tok in rhs.split(","))
         except ValueError:
             raise InputError(f"line {lineno}: bad number list for {key!r}: {rhs!r}") from None
+        for v in numbers:
+            if not math.isfinite(v) or (whole and v != int(v)):
+                kind = "finite whole numbers" if whole else "finite numbers"
+                raise InputError(f"line {lineno}: {key!r} needs {kind}, got {v:g} in {rhs!r}")
+        return numbers
 
     def scalar(key, conv, default):
         if key not in values:
@@ -267,7 +273,7 @@ def parse_grid_config(text):
         return ExperimentGrid(
             pi_values=floats("pi_values"),
             xi_values=floats("xi_values", default=(0.0,)),
-            n_values=tuple(int(v) for v in floats("n_values")),
+            n_values=floats("n_values", whole=True),
             replications=scalar("replications", int, 1000),
             burn_in=scalar("burn_in", int, 1000),
             level=scalar("level", float, 0.05),

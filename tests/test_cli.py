@@ -147,6 +147,25 @@ class TestTestCommand:
         assert code == 2
         assert "line 12" in capsys.readouterr().err
 
+    def test_non_finite_kappa_parameter_exits_2(self, h0_csv, capsys):
+        code = run_cli(
+            "test", "--input", str(h0_csv), "--order", "1",
+            "--null", "negbinomial(r=inf),poisson", "--format", "json",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_w_exits_3(self, h0_csv, capsys):
+        # kappa'(mu) = 2 mu / r + 1 is about 1e300, so W_hat overflows
+        code = run_cli(
+            "test", "--input", str(h0_csv), "--order", "1",
+            "--null", "negbinomial(r=1e-300),poisson",
+        )
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_exit_zero_even_on_rejection(self, tmp_path, capsys):
         path = tmp_path / "alt.csv"
         run_cli(
@@ -227,6 +246,12 @@ class TestMonteCarloCommands:
         config = tmp_path / "grid.cfg"
         config.write_text("bogus = 1\n")
         assert run_cli("mc-size", "--config", str(config)) == 2
+
+    def test_infinite_length_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text("pi_values = 0.3\nn_values = inf\n")
+        assert run_cli("mc-size", "--config", str(config), "--jobs", "1") == 2
+        assert "'n_values'" in capsys.readouterr().err
 
 
 class TestArgumentErrors:

@@ -148,6 +148,19 @@ class TestStatistic:
         with pytest.raises(errors.TestError, match="singular"):
             quadratic_form(np.ones(2), np.ones((2, 2)), 100)
 
+    @pytest.mark.parametrize(
+        "d,w",
+        [
+            ([np.nan, 0.0], np.eye(2)),
+            ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+            ([1e200, 0.0], [[1e-200, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["nan-discrepancy", "inf-w", "overflowing-form"],
+    )
+    def test_non_finite_is_test_error(self, d, w):
+        with pytest.raises(errors.TestError):
+            quadratic_form(np.array(d), np.array(w), 100)
+
     def test_zero_statistic_never_rejects(self):
         # discrepancy exactly zero: T = 0, p-value 1, keep at any level
         assert chi_square_survival(0.0, 2) == 1.0
@@ -164,6 +177,7 @@ class TestRunTest:
         result = run_test(h0_series(2000, 71), 1, BERN_POIS_NULL, 0.05)
         assert result.df == 2
         assert result.statistic >= 0.0
+        assert not any("negative" in w for w in result.warnings)
         assert_allclose(result.p_value, chi_square_survival(result.statistic, 2))
         assert_decision_rule(result)
         assert result.indices == (1, 2)
@@ -228,6 +242,17 @@ class TestRunTest:
             at_10 = run_test(series, 1, BERN_POIS_NULL, 0.10)
             if at_5.reject:
                 assert at_10.reject
+
+    def test_negative_statistic_keeps_null_with_warning(self):
+        # W_hat is indefinite for this short series, so T < 0
+        model = GinarModel(counting=(Bernoulli(0.8),), innovation=Poisson(1.0))
+        series = simulate(model, SimConfig(n=50, burn_in=1000, seed=9))
+        result = run_test(series, 1, BERN_POIS_NULL, 0.05)
+        assert result.statistic < 0.0
+        assert np.min(np.linalg.eigvalsh(result.w_hat)) < 0.0
+        assert result.p_value == 1.0
+        assert not result.reject
+        assert any(f"{result.statistic:.6g} is negative" in w for w in result.warnings)
 
     def test_null_order_mismatch(self):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,6 +80,12 @@ class TestValidation:
             lambda: ZJExtended(0.5, 1.0),
             lambda: BerG(0.0, 0.1),
             lambda: BerG(0.2, 0.0),
+            lambda: Poisson(math.inf),
+            lambda: Poisson(math.nan),
+            lambda: NegBinomial(math.inf, 0.4),
+            lambda: BerG(0.2, math.inf),
+            lambda: NegBinomialKappa(math.inf),
+            lambda: NegBinomialKappa(math.nan),
         ],
     )
     def test_out_of_range_parameters_rejected(self, ctor):
@@ -307,6 +315,8 @@ class TestSpecParsing:
             ("bernoulli(p=0.3", "parse"),
             ("berg(pi=0.2)", "missing"),
             ("bernoulli(p=1.5)", "(0,1)"),
+            ("poisson(lambda=1e400)", "finite"),
+            ("negbinomial(r=inf,p=0.5)", "finite"),
         ],
     )
     def test_errors_identify_offending_token(self, text, fragment):
@@ -319,7 +329,18 @@ class TestSpecParsing:
         assert parse_kappa("Poisson") == PoissonKappa()
         assert parse_kappa("negbinomial(r=2)") == NegBinomialKappa(r=2.0)
 
-    @pytest.mark.parametrize("text", ["gamma", "negbinomial", "bernoulli(p=0.5)", "negbinomial(s=2)"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gamma",
+            "negbinomial",
+            "bernoulli(p=0.5)",
+            "negbinomial(s=2)",
+            "negbinomial(r=inf)",
+            "negbinomial(r=nan)",
+            "negbinomial(r=1e400)",
+        ],
+    )
     def test_parse_kappa_errors(self, text):
         with pytest.raises(InputError):
             parse_kappa(text)

@@ -37,6 +37,7 @@ class TestGridValidation:
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (2,)},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "replications": 0},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "level": 1.5},
+            {"pi_values": (0.3,), "xi_values": (float("nan"),), "n_values": (100,)},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
@@ -187,6 +188,10 @@ class TestConfigParsing:
             ("pi_values = 0.3\npi_values = 0.4\nn_values = 100", "duplicate"),
             ("pi_values 0.3\nn_values = 100", "expected key = value"),
             ("pi_values = 0.9\nxi_values = 0.3\nn_values = 100", "pi + xi < 1"),
+            ("pi_values = 0.3\nn_values = inf", "'n_values'"),
+            ("pi_values = 0.3\nn_values = 100, 1e400", "'n_values'"),
+            ("pi_values = 0.3\nn_values = 500.7", "'n_values'"),
+            ("pi_values = 0.3\nxi_values = nan\nn_values = 100", "'xi_values'"),
         ],
     )
     def test_parse_errors(self, text, fragment):

@@ -63,8 +63,10 @@ class TestInvert:
 
 class TestChiSquareSurvival:
     def test_at_zero(self):
-        for df in (1, 2, 5):
-            assert chi_square_survival(0.0, df) == 1.0
+        # half of 5e-324 rounds to 0, where log(x/2) is undefined
+        for df in (1, 2, 3, 4, 5):
+            for x in (0.0, 5e-324):
+                assert chi_square_survival(x, df) == 1.0
 
     def test_df2_is_exponential_tail(self):
         # chi-square with 2 dof is Exp(1/2): survival = exp(-x/2)
@@ -89,10 +91,27 @@ class TestChiSquareSurvival:
                 assert abs(chi_square_survival(x, df) - chi2.sf(x, df)) < 1e-10
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            chi_square_survival(-1.0, 2)
-        with pytest.raises(ValueError):
-            chi_square_survival(1.0, 0)
+        for x in (-1.0, -5e-324, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                chi_square_survival(x, 2)
+        for df in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="degrees of freedom"):
+                chi_square_survival(1.0, df)
+
+    def test_df2_is_exactly_exp(self):
+        for x in np.linspace(0.0, 200.0, 2001):
+            assert chi_square_survival(x, 2) == math.exp(-x / 2.0)
+
+    def test_never_exceeds_one(self):
+        for df in range(1, 21):
+            for x in np.geomspace(1e-320, 1e-3, 400):
+                assert 0.0 < chi_square_survival(x, df) <= 1.0
+
+    def test_against_scipy_wide_range(self):
+        xs = np.concatenate([np.geomspace(1e-6, 200.0, 400), [250.0, 700.0]])
+        for df in (1, 2, 3, 4, 5, 6, 7, 10, 20, 64):
+            for x in xs:
+                assert abs(chi_square_survival(x, df) - chi2.sf(x, df)) < 1e-14
 
 
 class TestChiSquareQuantile:
