@@ -1,7 +1,10 @@
 """Command line front end: simulate, fit, test, mc-size, mc-power.
 
 Exit statuses: 0 success (including a statistical rejection, which is an
-outcome, not a failure), 2 malformed input, 3 numerical/singularity error.
+outcome, not a failure), 2 for an ``InputError`` (malformed or out-of-range
+input) or an ``OSError`` (unreadable or unwritable file), 3 for a
+``NumericalError``. Any other exception is a bug: it is not caught, so it
+ends with a traceback and exit status 1.
 """
 
 import argparse
@@ -125,11 +128,8 @@ def _cmd_simulate(args):
     order = args.order if args.order is not None else len(specs) - 1
     if order != len(specs) - 1:
         raise InputError(f"--order {order} does not match {len(specs)} specs (need order+1)")
-    try:
-        model = GinarModel(counting=tuple(specs[:-1]), innovation=specs[-1])
-        config = SimConfig(n=args.length, burn_in=args.burn_in, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    model = GinarModel(counting=tuple(specs[:-1]), innovation=specs[-1])
+    config = SimConfig(n=args.length, burn_in=args.burn_in, seed=args.seed)
     series = simulate(model, config)
     write_series(args.output, series)
     print(f"wrote {len(series)} counts to {args.output}")
@@ -138,8 +138,6 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     series = read_series(args.input)
-    if args.order < 1:
-        raise InputError(f"--order must be positive, got {args.order}")
     fit = fit_cls(series, args.order)
     print(_fit_json(fit) if args.format == "json" else format_fit_report(fit))
     return EXIT_OK
@@ -147,8 +145,6 @@ def _cmd_fit(args):
 
 def _cmd_test(args):
     series = read_series(args.input)
-    if args.order < 1:
-        raise InputError(f"--order must be positive, got {args.order}")
     null = parse_null(args.null, p=args.order)
     if args.subset is None:
         result = run_test(series, args.order, null, level=args.level)
@@ -181,7 +177,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InputError, SingularMatrixError
-from .numerics import invert
+from .numerics import MAX_DIM, invert
 
 __all__ = [
     "Regressors",
@@ -36,7 +36,6 @@ __all__ = [
     "assemble_V_cls",
     "assemble_V_general",
     "format_fit_report",
-    "format_moment_report",
 ]
 
 
@@ -52,24 +51,28 @@ class Regressors:
 
 
 def build_regressors(series, p):
-    """Pair each Z_t (t = p+1..n) with its regressor (Z_{t-1},...,Z_{t-p},1)."""
+    """Pair each Z_t (t = p+1..n) with its regressor (Z_{t-1},...,Z_{t-p},1).
+
+    Counts above 2**53 are refused: float64 holds every integer up to 2**53 exactly.
+    """
     z = np.asarray(series)
     if z.ndim != 1:
-        raise ValueError(f"series must be one-dimensional, got shape {z.shape}")
-    if p < 1:
-        raise ValueError(f"order must be a positive integer, got {p}")
+        raise InputError(f"series must be one-dimensional, got shape {z.shape}")
+    if not 1 <= p < MAX_DIM:
+        raise InputError(f"order must be an integer in 1..{MAX_DIM - 1}, got {p}")
     if len(z) <= p:
         raise InputError(f"series length {len(z)} too short for order {p}")
-    if np.any(z < 0) or not np.issubdtype(z.dtype, np.integer):
-        zf = z.astype(np.float64)
-        if np.any(zf < 0) or np.any(zf != np.floor(zf)):
-            raise ValueError("series values must be nonnegative integers")
-    z = z.astype(np.float64)
+    counts = z.astype(np.float64)
+    if np.any(counts < 0) or (z.dtype.kind not in "iu" and np.any(counts != np.floor(counts))):
+        raise InputError("series values must be nonnegative integers")
+    largest = z.max()
+    if largest > 2**53:
+        raise InputError(f"count {largest} exceeds 2**53, the largest a float64 holds exactly")
     n_eff = len(z) - p
     design = np.ones((n_eff, p + 1))
     for i in range(p):
-        design[:, i] = z[p - 1 - i : len(z) - 1 - i]
-    return Regressors(response=z[p:], design=design)
+        design[:, i] = counts[p - 1 - i : len(z) - 1 - i]
+    return Regressors(response=counts[p:], design=design)
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,6 @@ def _format_vector(vec):
     return "  ".join(f"{x:.6g}" for x in vec)
 
 
-def _format_matrix(mat, indent="    "):
-    return "\n".join(indent + "  ".join(f"{x: .6g}" for x in row) for row in mat)
-
-
 def format_fit_report(fit):
     """Structured text report for a CLSFit."""
     lines = [
@@ -253,12 +252,3 @@ def format_fit_report(fit):
     else:
         lines.append("  warnings: none")
     return "\n".join(lines)
-
-
-def format_moment_report(m):
-    """Structured text report for MomentMatrices."""
-    lines = []
-    for name, mat in (("Jm", m.jm), ("Im", m.im), ("Imv", m.imv), ("Iv", m.iv), ("V", m.v)):
-        lines.append(f"  {name}:")
-        lines.append(_format_matrix(mat))
-    return "moment matrices\n" + "\n".join(lines)

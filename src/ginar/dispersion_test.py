@@ -50,10 +50,10 @@ class NullSpec:
         kappas = tuple(self.kappas)
         object.__setattr__(self, "kappas", kappas)
         if len(kappas) < 2:
-            raise ValueError("NullSpec needs at least two kappa families (p >= 1)")
+            raise InputError("NullSpec needs at least two kappa families (p >= 1)")
         for k in kappas:
             if not isinstance(k, KappaFamily):
-                raise ValueError(f"expected a KappaFamily, got {k!r}")
+                raise InputError(f"expected a KappaFamily, got {k!r}")
 
     @property
     def order(self):
@@ -150,7 +150,8 @@ def test_statistic(discrepancy, w_hat, n_eff):
             "specification is degenerate (e.g. a kappa derivative of zero), "
             "so the test statistic is undefined"
         ) from exc
-    statistic = float(n_eff * d @ w_inv @ d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistic = float(n_eff * d @ w_inv @ d)
     if not math.isfinite(statistic):
         raise TestError(f"the test statistic overflowed to {statistic}")
     return statistic
@@ -175,9 +176,10 @@ def _run(series, p, null, indices, level):
         raise InputError(f"null spec has {null.order + 1} families, expected p+1 = {p + 1}")
     fit = fit_cls(series, p)
     moments = estimate_moment_matrices(fit)
-    K, k_warnings = build_K(null, fit.mu_hat)
-    w_full = assemble_W(K, moments.v)
-    kappa_vals = np.array([k.value(mu) for k, mu in zip(null.kappas, fit.mu_hat)])
+    with np.errstate(over="ignore", invalid="ignore"):  # test_statistic rejects non-finite d or W
+        K, k_warnings = build_K(null, fit.mu_hat)
+        w_full = assemble_W(K, moments.v)
+        kappa_vals = np.array([k.value(mu) for k, mu in zip(null.kappas, fit.mu_hat)])
     d_full = kappa_vals - fit.theta_hat
 
     idx = _resolve_indices(indices, p + 1)

@@ -3,7 +3,7 @@
 Six families are supported: Bernoulli, Poisson, negative binomial, geometric
 (support starting at 0), the Zhu-Joe extended-thinning distribution, and the
 Bernoulli-geometric convolution BerG. Each family knows its analytic mean and
-variance, can draw single values or arrays, and can draw the *sum* of ``k``
+variance, can draw arrays of values, and can draw the *sum* of ``k``
 independent copies in one shot -- the operation the thinning operator needs.
 It also tabulates the exact pmf of that sum (``sum_pmf``). Every family is
 built from binomial, Poisson and negative binomial pieces, the three laws of
@@ -46,7 +46,6 @@ class CountDistribution:
     and expose:
 
     - ``mean`` / ``variance``: analytic moments,
-    - ``sample(rng)``: one draw,
     - ``sample_array(size, rng)``: vectorized draws,
     - ``sample_sum(count, rng)``: one draw of the sum of ``count``
       independent copies, using the family's exact convolution law,
@@ -67,9 +66,6 @@ class CountDistribution:
     def variance(self):
         raise NotImplementedError
 
-    def sample(self, rng):
-        return int(self.sample_array(1, rng)[0])
-
     def sample_array(self, size, rng):
         raise NotImplementedError
 
@@ -82,7 +78,7 @@ class CountDistribution:
 
 def _require(condition, message):
     if not condition:
-        raise ValueError(message)
+        raise InputError(message)
 
 
 # Tabulation stops once the mass left beyond the row is provably below this.
@@ -91,6 +87,9 @@ _TAIL = 1e-18
 _TINY = float(np.finfo(np.float64).tiny)
 # Rows longer than this are refused (None) rather than tabulated.
 _MAX_ROW = 1 << 20
+# numpy's Generator.poisson refuses a rate above this; negative_binomial refuses (r, p)
+# whose gamma mixing draw (mean r(1-p)/p, sd sqrt(r)(1-p)/p) has mean + 10 sd above it.
+_LAM_MAX = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
 
 def _panjer_pmf(a, b, p0, last=None):
@@ -173,7 +172,8 @@ class Poisson(CountDistribution):
 
     def __post_init__(self):
         _require(
-            0.0 < self.rate < math.inf, f"Poisson rate must be positive and finite, got {self.rate}"
+            0.0 < self.rate <= _LAM_MAX,
+            f"Poisson rate must be positive and finite, at most {_LAM_MAX:.6g}, got {self.rate}",
         )
 
     @property
@@ -215,6 +215,10 @@ class NegBinomial(CountDistribution):
             0.0 < self.r < math.inf, f"NegBinomial r must be positive and finite, got {self.r}"
         )
         _require(0.0 < self.prob < 1.0, f"NegBinomial prob must lie in (0,1), got {self.prob}")
+        _require(
+            self.mean * (1.0 + 10.0 / math.sqrt(self.r)) <= _LAM_MAX,
+            f"NegBinomial(r={self.r}, prob={self.prob}) is beyond numpy's sampler limit",
+        )
 
     @property
     def mean(self):
@@ -537,10 +541,7 @@ def parse_distribution(text):
     missing = [k for k in required if k not in params]
     if missing:
         raise InputError(f"missing parameter(s) {missing} for family {family!r} in {text!r}")
-    try:
-        return ctor(**params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return ctor(**params)
 
 
 _KAPPA_FAMILIES = {"bernoulli", "poisson", "negbinomial"}
@@ -559,10 +560,7 @@ def parse_kappa(text):
     if family == "negbinomial":
         if set(params) != {"r"}:
             raise InputError(f"negbinomial kappa takes exactly one parameter r, got {text!r}")
-        try:
-            return NegBinomialKappa(r=params["r"])
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        return NegBinomialKappa(r=params["r"])
     if params:
         raise InputError(f"kappa family {family!r} takes no parameters, got {text!r}")
     return BernoulliKappa() if family == "bernoulli" else PoissonKappa()

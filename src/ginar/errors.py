@@ -1,9 +1,13 @@
 """Exception hierarchy shared across the package.
 
-The split matters for the command line front end: ``InputError`` covers
-malformed user input (config strings, CSV files, bad flag combinations),
-everything deriving from ``NumericalError`` covers runtime linear-algebra
-and estimation failures (typically degenerate data).
+Every check on a caller-supplied value (parameters, settings, series, spec
+strings, config and CSV files) raises ``InputError``, also a ``ValueError``,
+where the check lives. ``NumericalError`` covers failures on valid input
+(singular matrices, failed estimation). A plain ``ValueError`` from a numeric
+kernel (``invert``, the chi-square tail, the shape checks of ``assemble_W``
+and ``build_K``) is a bug in its caller. The command line exits 2 on
+``InputError`` or ``OSError`` and 3 on ``NumericalError``; anything else
+surfaces with its traceback.
 """
 
 
@@ -11,8 +15,8 @@ class GinarError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(GinarError):
-    """Malformed user input: config text, series files, spec strings."""
+class InputError(GinarError, ValueError):
+    """Malformed or out-of-range caller input: parameters, specs, series, config."""
 
 
 class NumericalError(GinarError):
@@ -22,11 +26,9 @@ class NumericalError(GinarError):
 class SingularMatrixError(NumericalError):
     """Matrix inversion hit a pivot below the singularity threshold."""
 
-    def __init__(self, pivot_index, message=None):
+    def __init__(self, pivot_index):
         self.pivot_index = pivot_index
-        super().__init__(
-            message or f"matrix is singular to working precision at pivot {pivot_index}"
-        )
+        super().__init__(f"matrix is singular to working precision at pivot {pivot_index}")
 
 
 class EstimationError(NumericalError):

@@ -25,6 +25,7 @@ harness) can use ``sample_path`` with an explicit generator.
 """
 
 import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -72,7 +73,8 @@ class GinarModel:
     """A generalized INAR(p) model: one counting spec per lag plus an innovation.
 
     The order p is the number of counting specs. Construction fails unless
-    the counting means satisfy the stationarity condition.
+    the counting means satisfy the stationarity condition and the stationary
+    mean mu_eps / (1 - sum mu_i) is at most 2**53, the float64 count limit.
     """
 
     counting: tuple
@@ -82,15 +84,18 @@ class GinarModel:
         counting = tuple(self.counting)
         object.__setattr__(self, "counting", counting)
         if len(counting) < 1:
-            raise ValueError("GinarModel needs at least one counting-sequence spec")
+            raise InputError("GinarModel needs at least one counting-sequence spec")
         for spec in counting + (self.innovation,):
             if not isinstance(spec, CountDistribution):
-                raise ValueError(f"expected a CountDistribution, got {spec!r}")
-        if not check_stationarity(self.counting_means):
-            means = [float(m) for m in self.counting_means]
-            raise ValueError(
-                f"counting-sequence means violate stationarity (need all >= 0 and sum < 1, got {means})"
+                raise InputError(f"expected a CountDistribution, got {spec!r}")
+        means = self.counting_means
+        if not check_stationarity(means):
+            raise InputError(
+                f"counting-sequence means violate stationarity (need all >= 0 and sum < 1, got {means.tolist()})"
             )
+        mean = self.innovation.mean / (1.0 - means.sum())
+        if not mean <= 2.0**53:
+            raise InputError(f"stationary mean {mean:.6g} exceeds 2**53: counts could not be fitted exactly")
 
     @property
     def order(self):
@@ -111,11 +116,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"series length must be positive, got {self.n}")
+            raise InputError(f"series length must be positive, got {self.n}")
         if self.burn_in < 0:
-            raise ValueError(f"burn-in must be nonnegative, got {self.burn_in}")
+            raise InputError(f"burn-in must be nonnegative, got {self.burn_in}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 def _cdf_row(spec, count, budget):
@@ -148,6 +153,8 @@ def sample_path(model, n, burn_in, rng):
     """
     p = model.order
     steps = burn_in + n
+    if steps * p > _INT64_MAX:
+        raise InputError(f"{steps:.6g} steps of {p} lags exceed numpy's largest array")
     path = model.innovation.sample_array(p, rng).tolist()
     path.extend(model.innovation.sample_array(steps, rng).tolist())
     uniforms = rng.random(steps * p).tolist()
@@ -187,14 +194,19 @@ def simulate(model, config):
 
 
 def read_series(path):
-    """Read a single-column count CSV (optional ``count`` header).
+    """Read a single-column UTF-8 count CSV (optional byte order mark and ``count`` header).
 
     Returns an int64 array. Raises ``InputError`` with the line number on
-    the first non-integer, negative or above-int64 value, and on empty files.
+    undecodable bytes, malformed CSV, and the first non-integer, negative
+    or above-int64 value; and on empty files.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     values = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+        for row in reader:
+            lineno = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 1:
@@ -213,6 +225,11 @@ def read_series(path):
             if value > _INT64_MAX:
                 raise InputError(f"{path}: line {lineno}: count {value} exceeds 2**63 - 1")
             values.append(value)
+    except UnicodeDecodeError as exc:
+        lineno = len((exc.object[: exc.start] + b".").splitlines())
+        raise InputError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if not values:
         raise InputError(f"{path}: no observations found")
     return np.array(values, dtype=np.int64)

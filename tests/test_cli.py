@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_refuses_stationary_mean_beyond_2_53(self, tmp_path, capsys):
+        # geometric(p=1e-300) draws saturate numpy's int64 range
+        code = run_cli(
+            "simulate",
+            "--dist", "bernoulli(p=0.3)",
+            "--dist", "geometric(p=1e-300)",
+            "--length", "100",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "2**53" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_order_mismatch(self, tmp_path):
         code = run_cli(
             "simulate",
@@ -124,6 +138,10 @@ class TestFitCommand:
         assert run_cli("fit", "--input", str(path), "--order", "1") == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_order_beyond_supported_exits_2(self, h0_csv, capsys):
+        assert run_cli("fit", "--input", str(h0_csv), "--order", "64") == 2
+        assert "order" in capsys.readouterr().err
+
     def test_constant_series_is_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "const.csv"
         path.write_text("count\n" + "2\n" * 30)
@@ -159,12 +177,45 @@ class TestTestCommand:
 
     def test_overflowing_w_exits_3(self, h0_csv, capsys):
         # kappa'(mu) = 2 mu / r + 1 is about 1e300, so W_hat overflows
-        code = run_cli(
-            "test", "--input", str(h0_csv), "--order", "1",
-            "--null", "negbinomial(r=1e-300),poisson",
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "test", "--input", str(h0_csv), "--order", "1",
+                "--null", "negbinomial(r=1e-300),poisson",
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_kappa_exits_3(self, h0_csv, capsys):
+        # kappa(mu) = (mu + r) mu / r overflows for a subnormal r
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "test", "--input", str(h0_csv), "--order", "1",
+                "--null", "negbinomial(r=5e-324),poisson",
+            )
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_count_beyond_float64_precision_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("count\n" + "1\n2\n" * 10 + f"{2**53 + 1}\n")
+        code = run_cli("test", "--input", str(path), "--order", "1", "--null", "bernoulli,poisson")
+        assert code == 2
+        assert str(2**53 + 1) in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_input(self, h0_csv, monkeypatch):
+        # a plain ValueError inside a handler is a bug: it must not read as exit 2
+        def broken_fit(series, p):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("ginar.dispersion_test.fit_cls", broken_fit)
+        with pytest.raises(ValueError, match="internal bug"):
+            run_cli("test", "--input", str(h0_csv), "--order", "1", "--null", "bernoulli,poisson")
 
     def test_exit_zero_even_on_rejection(self, tmp_path, capsys):
         path = tmp_path / "alt.csv"
@@ -242,10 +293,22 @@ class TestMonteCarloCommands:
         assert code == 0
         assert "empirical power" in capsys.readouterr().out
 
+    def test_power_without_alternative_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text("pi_values = 0.3\nxi_values = 0\nn_values = 150\n")
+        assert run_cli("mc-power", "--config", str(config), "--jobs", "1") == 2
+        assert "xi > 0" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "grid.cfg"
         config.write_text("bogus = 1\n")
         assert run_cli("mc-size", "--config", str(config)) == 2
+
+    def test_length_beyond_array_limit_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text("pi_values = 0.3\nn_values = 1e300\nreplications = 1\n")
+        assert run_cli("mc-size", "--config", str(config), "--jobs", "1") == 2
+        assert "largest array" in capsys.readouterr().err
 
     def test_infinite_length_exits_2(self, tmp_path, capsys):
         config = tmp_path / "grid.cfg"

@@ -11,7 +11,6 @@ from ginar.cls import (
     estimate_moment_matrices,
     fit_cls,
     format_fit_report,
-    format_moment_report,
 )
 from ginar.distributions import Bernoulli, Poisson
 from ginar.errors import EstimationError, InputError
@@ -66,6 +65,17 @@ class TestBuildRegressors:
     def test_non_count_values_rejected(self, bad):
         with pytest.raises(ValueError):
             build_regressors(bad, 1)
+
+    def test_counts_beyond_float64_precision_rejected(self):
+        series = np.array([3, 2**53 + 1, 0], dtype=np.int64)
+        with pytest.raises(InputError, match=str(2**53 + 1)):
+            build_regressors(series, 1)
+        assert build_regressors(np.array([2**53, 0, 1]), 1).design[0, 0] == 2.0**53
+
+    @pytest.mark.parametrize("p", [0, 64])
+    def test_order_outside_supported_range(self, p):
+        with pytest.raises(InputError, match="order"):
+            build_regressors(np.arange(100), p)
 
 
 class TestClosedForms:
@@ -297,11 +307,4 @@ class TestReports:
         fit = fit_cls(simulated_series(200, 19), 1)
         report = format_fit_report(fit)
         for token in ("mu_hat", "theta_hat", "n_eff", "warnings"):
-            assert token in report
-
-    def test_moment_report_fields(self):
-        series = simulated_series(200, 23)
-        fit = fit_cls(series, 1)
-        report = format_moment_report(estimate_moment_matrices(fit))
-        for token in ("Jm", "Im", "Imv", "Iv", "V"):
             assert token in report

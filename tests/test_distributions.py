@@ -86,11 +86,40 @@ class TestValidation:
             lambda: BerG(0.2, math.inf),
             lambda: NegBinomialKappa(math.inf),
             lambda: NegBinomialKappa(math.nan),
+            lambda: Poisson(1e19),
+            lambda: NegBinomial(1e300, 0.5),
+            lambda: NegBinomial(1.0, 1e-300),
         ],
     )
     def test_out_of_range_parameters_rejected(self, ctor):
         with pytest.raises(ValueError):
             ctor()
+
+    def test_accepts_exactly_what_numpy_can_sample(self):
+        # Poisson and NegBinomial refuse the parameters numpy's samplers refuse
+        rng = np.random.default_rng(0)
+
+        def numpy_samples(draw, *args):
+            try:
+                draw(*args)
+            except ValueError:
+                return False
+            return True
+
+        def constructs(ctor, *args):
+            try:
+                ctor(*args)
+            except InputError:
+                return False
+            return True
+
+        for rate in (1e18, 9.2e18, 9.223372006484771e18, 9.223372006484772e18, 9.3e18):
+            assert constructs(Poisson, rate) == numpy_samples(rng.poisson, rate), rate
+        for r in np.logspace(-3, 20, 24):
+            for prob in np.logspace(-20, -0.01, 24):
+                assert constructs(NegBinomial, r, prob) == numpy_samples(
+                    rng.negative_binomial, r, prob
+                ), (r, prob)
 
 
 class TestSampling:
@@ -100,7 +129,6 @@ class TestSampling:
         draws = dist.sample_array(5000, rng)
         assert np.issubdtype(draws.dtype, np.integer)
         assert np.all(draws >= 0)
-        assert isinstance(dist.sample(rng), int)
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: type(d).__name__)
     def test_moments_match_within_five_se(self, dist):

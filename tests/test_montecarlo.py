@@ -38,10 +38,12 @@ class TestGridValidation:
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "replications": 0},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "level": 1.5},
             {"pi_values": (0.3,), "xi_values": (float("nan"),), "n_values": (100,)},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (float("inf"),)},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (500.7,)},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ExperimentGrid(**kwargs)
 
 

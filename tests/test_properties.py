@@ -1,14 +1,19 @@
-"""Property tests for the text parsers: only ``InputError`` escapes, and
-everything they accept has finite parameters.
+"""Property tests for the text parsers and the series reader: only
+``InputError`` escapes, and everything they accept is well formed (finite
+parameters; a 1-D int64 array of nonnegative counts).
 
 Free text rarely hits a valid family with an extreme number, so the
 strategies combine valid family and key names with numeric tokens that
 include the IEEE edge cases (``inf``, ``nan``, overflowing and subnormal
-literals).
+literals). Series files mix raw bytes with count-like lines.
 """
 
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +22,7 @@ from ginar.dispersion_test import parse_null
 from ginar.distributions import parse_distribution, parse_kappa
 from ginar.errors import InputError
 from ginar.montecarlo import parse_grid_config
+from ginar.simulate import read_series
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -132,3 +138,40 @@ def test_parse_grid_config_only_raises_input_error(text):
         assert math.isfinite(value)
     for value in grid.n_values + (grid.replications, grid.burn_in, grid.master_seed):
         assert isinstance(value, int)
+
+
+# csv's default field size limit is 131072 characters
+SERIES_LINES = [
+    "count", "COUNT", "\ufeffcount", "0", "1", "17", "-1", "2.5", "1e3", "1_000", " 4 ", "",
+    "1,2", '"3"', '"1', "nan", "inf", "0x10", "\x00", "9223372036854775807",
+    "9223372036854775808", "9" * 5000, "9" * 131_073,
+]
+series_line = st.one_of(
+    st.sampled_from(SERIES_LINES),
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+    st.text(max_size=12),
+)
+series_text = st.tuples(
+    st.lists(series_line, max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["utf-8", "utf-8-sig"]),
+).map(lambda t: t[1].join(t[0]).encode(t[2]))
+series_bytes = st.one_of(
+    st.binary(max_size=64),
+    series_text,
+    st.tuples(series_text, st.binary(max_size=8), series_text).map(b"".join),
+)
+
+
+@DETERMINISTIC
+@given(series_bytes)
+def test_read_series_only_raises_input_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(data)
+        try:
+            series = read_series(path)
+        except InputError:
+            return
+    assert series.ndim == 1 and series.dtype == np.int64
+    assert len(series) > 0 and np.all(series >= 0)

@@ -87,6 +87,13 @@ class TestModelAndConfig:
         with pytest.raises(ValueError, match="stationarity"):
             GinarModel(counting=(BerG(0.5, 0.6),), innovation=Poisson(1.0))
 
+    def test_stationary_mean_beyond_2_53_rejected(self):
+        # mu_eps / (1 - mu_1): above 2**53 the counts could not be fitted exactly
+        GinarModel(counting=(Bernoulli(0.5),), innovation=Poisson(2.0**52))
+        for innovation in (Poisson(2.0**52 * 1.001), Geometric(1e-300)):
+            with pytest.raises(InputError, match=r"2\*\*53"):
+                GinarModel(counting=(Bernoulli(0.5),), innovation=innovation)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n=0)
@@ -297,4 +304,22 @@ class TestSeriesCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(InputError, match="no observations"):
+            read_series(path)
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfcount\r\n3\r\n0\r\n")
+        assert_array_equal(read_series(path), np.array([3, 0]))
+
+    @pytest.mark.parametrize("data", [b"count\n1\n2\xe9\n", b"\xef\xbb\xbfcount\r1\r\n\xe9"])
+    def test_undecodable_bytes_report_line(self, tmp_path, data):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="line 3"):
+            read_series(path)
+
+    def test_oversized_field_reports_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("count\n1\n" + "9" * 131_073 + "\n")
+        with pytest.raises(InputError, match="line 3"):
             read_series(path)
