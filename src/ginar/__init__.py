@@ -38,7 +38,6 @@ from .simulate import (
 from .cls import (
     CLSFit,
     MomentMatrices,
-    Regressors,
     assemble_V_cls,
     assemble_V_general,
     build_regressors,

@@ -46,7 +46,6 @@ def build_parser():
         help="distribution spec, repeatable; lags 1..p first, innovation last "
         "(e.g. --dist 'bernoulli(p=0.3)' --dist 'poisson(rate=1)')",
     )
-    sim.add_argument("--order", type=int, default=None, help="order p (default: #specs - 1)")
     sim.add_argument("--length", type=int, required=True, help="series length n")
     sim.add_argument("--burn-in", type=int, default=1000, help="burn-in steps (default 1000)")
     sim.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
@@ -81,7 +80,12 @@ def build_parser():
         mc = sub.add_parser(name, help=help_text)
         mc.add_argument("--config", required=True, help="plain-text grid config path")
         mc.add_argument("--output", default=None, help="write the rejection table CSV here")
-        mc.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+        mc.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help="worker processes, at least 1 (default: the CPUs this process may run on)",
+        )
 
     return parser
 
@@ -125,9 +129,6 @@ def _cmd_simulate(args):
     specs = [parse_distribution(text) for text in args.dist]
     if len(specs) < 2:
         raise InputError("simulate needs at least two --dist specs (p lags plus innovation)")
-    order = args.order if args.order is not None else len(specs) - 1
-    if order != len(specs) - 1:
-        raise InputError(f"--order {order} does not match {len(specs)} specs (need order+1)")
     model = GinarModel(counting=tuple(specs[:-1]), innovation=specs[-1])
     config = SimConfig(n=args.length, burn_in=args.burn_in, seed=args.seed)
     series = simulate(model, config)

@@ -13,10 +13,12 @@ outside the stationarity region or below zero on short series, in which
 case they are returned as-is with a warning attached (projecting them would
 silently change the downstream test statistic).
 
-The module also builds the plug-in moment matrices of the estimators'
-joint asymptotic covariance and assembles the sandwich V, both in the
-cross-term-free form the CLS estimating functions admit and in the general
-form with a nonzero J_vm block.
+A fit keeps its design matrix, residuals, Gram matrix and inverse Gram
+matrix, and the plug-in moment matrices reuse them rather than recompute
+them. The sandwich covariance V of the estimators is assembled block by
+block: ``assemble_V_cls`` gives the blocks v11, v12 and v22 of the
+cross-term-free form the CLS estimating functions admit (v21 = v12'), and
+``assemble_V_general`` the full matrix for a nonzero J_vm block.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,6 @@ from .errors import EstimationError, InputError, SingularMatrixError
 from .numerics import MAX_DIM, invert
 
 __all__ = [
-    "Regressors",
     "CLSFit",
     "MomentMatrices",
     "build_regressors",
@@ -39,20 +40,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Regressors:
-    """Aligned regression rows: response Z_t against Y_{t-1} = (lags, 1)."""
-
-    response: np.ndarray  # (n_eff,)
-    design: np.ndarray  # (n_eff, p+1); last column identically 1
-
-    def __len__(self):
-        return self.response.shape[0]
-
-
 def build_regressors(series, p):
     """Pair each Z_t (t = p+1..n) with its regressor (Z_{t-1},...,Z_{t-p},1).
 
+    Returns ``(response, design)``: the (n_eff,) responses and the
+    (n_eff, p+1) design matrix, whose last column is identically 1.
     Counts above 2**53 are refused: float64 holds every integer up to 2**53 exactly.
     """
     z = np.asarray(series)
@@ -72,23 +64,26 @@ def build_regressors(series, p):
     design = np.ones((n_eff, p + 1))
     for i in range(p):
         design[:, i] = counts[p - 1 - i : len(z) - 1 - i]
-    return Regressors(response=counts[p:], design=design)
+    return counts[p:], design
 
 
 @dataclass(frozen=True)
 class CLSFit:
-    """Both CLS stages plus the rows and inverse Gram matrix mean(Y Y')^{-1}
-    they share, which the moment matrices reuse."""
+    """Both CLS stages plus what they computed on the way: the design
+    matrix, the first-stage residuals Z_t - mu_hat'Y, the Gram matrix
+    mean(Y Y') and its inverse. The moment matrices reuse all four."""
 
     mu_hat: np.ndarray
     theta_hat: np.ndarray
-    rows: Regressors
+    design: np.ndarray
+    residuals: np.ndarray
+    gram: np.ndarray
     gram_inv: np.ndarray
     warnings: tuple = ()
 
     @property
     def n_eff(self):
-        return len(self.rows)
+        return self.design.shape[0]
 
 
 def fit_cls(series, p):
@@ -97,20 +92,20 @@ def fit_cls(series, p):
     The regressors are built and their Gram matrix inverted once, for both
     stages.
     """
-    rows = build_regressors(series, p)
-    n_eff = len(rows)
+    response, design = build_regressors(series, p)
+    n_eff = len(response)
     if n_eff < p + 2:
         raise EstimationError(f"need at least p + 2 = {p + 2} rows, got {n_eff}")
-    design = rows.design
+    gram = design.T @ design / n_eff
     try:
-        gram_inv = invert(design.T @ design / n_eff)
+        gram_inv = invert(gram)
     except SingularMatrixError as exc:
         raise EstimationError(
             "singular Gram matrix: regressor columns are linearly dependent "
             f"(pivot {exc.pivot_index}); a constant series is the typical cause"
         ) from exc
-    mu_hat = gram_inv @ (design.T @ rows.response / n_eff)
-    residuals = rows.response - design @ mu_hat
+    mu_hat = gram_inv @ (design.T @ response / n_eff)
+    residuals = response - design @ mu_hat
     theta_hat = gram_inv @ (design.T @ residuals**2 / n_eff)
 
     warnings = []
@@ -124,44 +119,31 @@ def fit_cls(series, p):
         if value < 0.0:
             label = "innovation" if i == p else f"lag {i + 1}"
             warnings.append(f"variance estimate for {label} is negative ({value:.6g})")
-    return CLSFit(mu_hat=mu_hat, theta_hat=theta_hat, rows=rows, gram_inv=gram_inv, warnings=tuple(warnings))
+    return CLSFit(mu_hat, theta_hat, design, residuals, gram, gram_inv, tuple(warnings))
 
 
 @dataclass(frozen=True)
 class MomentMatrices:
-    """Empirical moment matrices and the assembled joint covariance.
+    """Empirical moment matrices and the blocks of the joint covariance.
 
     jm = mean of Y Y' (the CLS estimating functions give J_v = J_m, so it
-    serves both stages); im, imv, iv are the score-variance blocks; v is
-    the assembled 2(p+1) covariance of sqrt(n_eff) * (mu_hat, theta_hat)
-    around truth, partitioned into (p+1) blocks v11, v12, v21, v22.
+    serves both stages); im, imv, iv are the score-variance blocks; v11,
+    v12 and v22 are the (p+1) blocks of the 2(p+1) covariance V of
+    sqrt(n_eff) * (mu_hat, theta_hat) around truth, with v21 = v12'.
     """
 
     jm: np.ndarray
     im: np.ndarray
     imv: np.ndarray
     iv: np.ndarray
-    v: np.ndarray
+    v11: np.ndarray
+    v12: np.ndarray
+    v22: np.ndarray
 
     @property
-    def _half(self):
-        return self.jm.shape[0]
-
-    @property
-    def v11(self):
-        return self.v[: self._half, : self._half]
-
-    @property
-    def v12(self):
-        return self.v[: self._half, self._half :]
-
-    @property
-    def v21(self):
-        return self.v[self._half :, : self._half]
-
-    @property
-    def v22(self):
-        return self.v[self._half :, self._half :]
+    def v(self):
+        """The full covariance V, assembled from its blocks."""
+        return np.block([[self.v11, self.v12], [self.v12.T, self.v22]])
 
 
 def estimate_moment_matrices(fit):
@@ -174,38 +156,31 @@ def estimate_moment_matrices(fit):
         imv = mean(r_t^3 * Y Y')
         iv  = mean((r_t^4 - v_t^2) * Y Y')
 
-    and v is assembled via ``assemble_V_cls`` from the fit's ``gram_inv``.
+    jm, Y and r_t are the fit's own; the V blocks come from
+    ``assemble_V_cls`` with the fit's ``gram_inv``.
     """
-    design = fit.rows.design
-    n_eff = fit.n_eff
-    residuals = fit.rows.response - design @ fit.mu_hat
+    design = fit.design
+    residuals = fit.residuals
     fitted_var = design @ fit.theta_hat
 
     def weighted_mean(weights):
-        return (design * weights[:, None]).T @ design / n_eff
+        return (design * weights[:, None]).T @ design / fit.n_eff
 
     im = weighted_mean(fitted_var)
     imv = weighted_mean(residuals**3)
     iv = weighted_mean(residuals**4 - fitted_var**2)
-    return MomentMatrices(
-        jm=design.T @ design / n_eff,
-        im=im,
-        imv=imv,
-        iv=iv,
-        v=assemble_V_cls(fit.gram_inv, im, imv, iv),
-    )
+    return MomentMatrices(fit.gram, im, imv, iv, *assemble_V_cls(fit.gram_inv, im, imv, iv))
 
 
 def assemble_V_cls(jm_inv, im, imv, iv):
-    """Assemble V from CLS moment matrices (zero J_vm cross block, J_v = J_m).
+    """Blocks (v11, v12, v22) of V for CLS moment matrices (zero J_vm cross
+    block, J_v = J_m):
 
-    v11 = jm^{-1} im jm^{-1}; v12 = jm^{-1} imv jm^{-1}; v21 = v12';
-    v22 = jm^{-1} iv jm^{-1}.
+        v11 = jm^{-1} im jm^{-1}; v12 = jm^{-1} imv jm^{-1}; v22 = jm^{-1} iv jm^{-1}
+
+    and v21 = v12'.
     """
-    v11 = jm_inv @ im @ jm_inv
-    v12 = jm_inv @ imv @ jm_inv
-    v22 = jm_inv @ iv @ jm_inv
-    return np.block([[v11, v12], [v12.T, v22]])
+    return tuple(jm_inv @ m @ jm_inv for m in (im, imv, iv))
 
 
 def assemble_V_general(jm, jv, jvm, im, imv, iv):
@@ -219,7 +194,7 @@ def assemble_V_general(jm, jv, jvm, im, imv, iv):
         v22 = jv^{-1} (iv + jvm jm^{-1} im jm^{-1} jvm'
                        - imv' jm^{-1} jvm' - jvm jm^{-1} imv) jv^{-1}
 
-    which reduce to ``assemble_V_cls`` when jvm = 0 and jv = jm.
+    which reduce to the blocks of ``assemble_V_cls`` when jvm = 0 and jv = jm.
     """
     jm_inv = invert(np.asarray(jm, dtype=np.float64))
     jv_inv = invert(np.asarray(jv, dtype=np.float64))

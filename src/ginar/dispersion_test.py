@@ -11,10 +11,10 @@ where W_hat is the delta-method covariance of the discrepancy,
 
     W = K v11 K - K v12 - v21 K + v22,
 
-built from the estimators' joint covariance V and the diagonal matrix K of
-kappa derivatives at mu_hat. A subvector variant restricts the discrepancy
-and W to selected components (e.g. thinning lags only), with degrees of
-freedom equal to the number of tested components.
+built from the blocks of the estimators' joint covariance V and the
+diagonal matrix K of kappa derivatives at mu_hat. A subvector variant
+restricts the discrepancy and W to selected components (e.g. thinning lags
+only), with degrees of freedom equal to the number of tested components.
 """
 
 import math
@@ -87,7 +87,8 @@ class TestResult:
 
 
 def build_K(null, mu_hat):
-    """Diagonal matrix of kappa derivatives at the estimated means.
+    """kappa(mu_hat), the diagonal of K = diag(kappa'(mu_hat)) and the
+    admissibility warnings, in one pass over the null.
 
     Components outside a family's admissible range are evaluated by the
     smooth extension of the formula and reported in the returned warnings
@@ -97,7 +98,8 @@ def build_K(null, mu_hat):
     if len(mu_hat) != len(null.kappas):
         raise ValueError(f"mu_hat has length {len(mu_hat)}, null expects {len(null.kappas)}")
     warnings = []
-    diag = np.empty(len(mu_hat))
+    values = np.empty(len(mu_hat))
+    k = np.empty(len(mu_hat))
     for i, (kappa, mu) in enumerate(zip(null.kappas, mu_hat)):
         if not kappa.admissible(mu):
             warnings.append(
@@ -105,28 +107,26 @@ def build_K(null, mu_hat):
                 f"admissible range {kappa.range_text} of the {kappa.name} kappa "
                 "family; formulas evaluated by smooth extension"
             )
-        diag[i] = kappa.derivative(mu)
-    return np.diag(diag), warnings
+        values[i] = kappa.value(mu)
+        k[i] = kappa.derivative(mu)
+    return values, k, warnings
 
 
-def assemble_W(K, V):
+def assemble_W(k, v11, v12, v22):
     """Delta-method covariance of kappa(mu_hat) - theta_hat.
 
-    W = K v11 K - K v12 - v21 K + v22 for the 2(p+1) joint covariance V
-    partitioned into (p+1) square blocks.
+    W = K v11 K - K v12 - v21 K + v22 with K = diag(k), for the (p+1)
+    blocks of the joint covariance V (v21 = v12').
     """
-    K = np.asarray(K, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    half = K.shape[0]
-    if K.shape != (half, half):
-        raise ValueError(f"K must be square, got shape {K.shape}")
-    if V.shape != (2 * half, 2 * half):
-        raise ValueError(f"V must be {2 * half}x{2 * half} to match K, got shape {V.shape}")
-    v11 = V[:half, :half]
-    v12 = V[:half, half:]
-    v21 = V[half:, :half]
-    v22 = V[half:, half:]
-    return K @ v11 @ K - K @ v12 - v21 @ K + v22
+    k = np.asarray(k, dtype=np.float64)
+    if k.ndim != 1:
+        raise ValueError(f"k must be a vector of kappa derivatives, got shape {k.shape}")
+    half = len(k)
+    for name, block in (("v11", v11), ("v12", v12), ("v22", v22)):
+        if np.shape(block) != (half, half):
+            raise ValueError(f"{name} must be {half}x{half} to match k, got shape {np.shape(block)}")
+    kv12 = k[:, None] * v12
+    return k[:, None] * v11 * k - kv12 - kv12.T + v22
 
 
 def test_statistic(discrepancy, w_hat, n_eff):
@@ -177,9 +177,8 @@ def _run(series, p, null, indices, level):
     fit = fit_cls(series, p)
     moments = estimate_moment_matrices(fit)
     with np.errstate(over="ignore", invalid="ignore"):  # test_statistic rejects non-finite d or W
-        K, k_warnings = build_K(null, fit.mu_hat)
-        w_full = assemble_W(K, moments.v)
-        kappa_vals = np.array([k.value(mu) for k, mu in zip(null.kappas, fit.mu_hat)])
+        kappa_vals, k, k_warnings = build_K(null, fit.mu_hat)
+        w_full = assemble_W(k, moments.v11, moments.v12, moments.v22)
     d_full = kappa_vals - fit.theta_hat
 
     idx = _resolve_indices(indices, p + 1)

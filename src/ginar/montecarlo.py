@@ -159,11 +159,15 @@ def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     """Run one grid cell; returns (rejections, failures).
 
     Replication k uses the substream derived from (cell_seed, k), so the
-    result does not depend on ``jobs`` or on execution order.
+    result does not depend on ``jobs`` or on execution order. ``jobs``
+    defaults to the CPUs this process may run on.
     """
     if pi + xi >= 1.0:
         raise InputError(f"stationarity needs pi + xi < 1, got pi={pi}, xi={xi}")
-    jobs = jobs or os.cpu_count() or 1
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif jobs < 1:
+        raise InputError(f"jobs must be a positive number of worker processes, got {jobs}")
     jobs = max(1, min(jobs, replications))
     if jobs == 1:
         return _run_chunk((pi, xi, n, burn_in, level, cell_seed, 0, replications))

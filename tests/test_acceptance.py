@@ -133,8 +133,7 @@ def test_criterion_4_closed_form_vs_optimizer():
         pi = float(rng.uniform(0.15, 0.55))
         model = GinarModel(counting=(Bernoulli(pi),), innovation=Poisson(1.0))
         series = simulate(model, SimConfig(n=n, burn_in=500, seed=9000 + idx))
-        rows = build_regressors(series, 1)
-        y, x = rows.response, rows.design
+        y, x = build_regressors(series, 1)
 
         def optimize(objective):
             best = minimize(
@@ -202,7 +201,8 @@ def test_criterion_6_covariance_assembly_equivalence():
         im = random_pd()
         iv = random_pd()
         imv = rng.normal(size=(dim, dim))
-        direct = assemble_V_cls(invert(jm), im, imv, iv)
+        v11, v12, v22 = assemble_V_cls(invert(jm), im, imv, iv)
+        direct = np.block([[v11, v12], [v12.T, v22]])
         general = assemble_V_general(jm, jm.copy(), np.zeros((dim, dim)), im, imv, iv)
         worst = max(worst, float(np.max(np.abs(direct - general))))
     check(

@@ -87,16 +87,26 @@ class TestSimulateCommand:
         assert "2**53" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_order_mismatch(self, tmp_path):
+    def test_order_flag_rejected(self, tmp_path):
+        # the order is the number of --dist specs minus one; there is no flag for it
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                "simulate",
+                "--dist", "bernoulli(p=0.3)",
+                "--dist", "poisson(rate=1)",
+                "--order", "1",
+                "--length", "100",
+                "--output", str(tmp_path / "x.csv"),
+            )
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_single_spec_rejected(self, tmp_path, capsys):
         code = run_cli(
-            "simulate",
-            "--dist", "bernoulli(p=0.3)",
-            "--dist", "poisson(rate=1)",
-            "--order", "2",
-            "--length", "100",
-            "--output", str(tmp_path / "x.csv"),
+            "simulate", "--dist", "poisson(rate=1)", "--length", "100", "--output", str(tmp_path / "x.csv")
         )
         assert code == 2
+        assert "at least two --dist specs" in capsys.readouterr().err
 
     def test_bad_spec_string(self, tmp_path, capsys):
         code = run_cli(
@@ -303,6 +313,13 @@ class TestMonteCarloCommands:
         config = tmp_path / "grid.cfg"
         config.write_text("bogus = 1\n")
         assert run_cli("mc-size", "--config", str(config)) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        config = tmp_path / "grid.cfg"
+        config.write_text("pi_values = 0.3\nn_values = 150\nreplications = 2\nburn_in = 10\n")
+        assert run_cli("mc-size", "--config", str(config), "--jobs", jobs) == 2
+        assert f"jobs must be a positive number of worker processes, got {jobs}" in capsys.readouterr().err
 
     def test_length_beyond_array_limit_exits_2(self, tmp_path, capsys):
         config = tmp_path / "grid.cfg"

@@ -36,26 +36,26 @@ def minimize_objective(objective, start):
 
 class TestBuildRegressors:
     def test_order_one_rows(self):
-        rows = build_regressors([2, 0, 3], 1)
-        assert len(rows) == 2
-        assert_allclose(rows.response, [0.0, 3.0])
-        assert_allclose(rows.design, [[2.0, 1.0], [0.0, 1.0]])
+        response, design = build_regressors([2, 0, 3], 1)
+        assert len(response) == 2
+        assert_allclose(response, [0.0, 3.0])
+        assert_allclose(design, [[2.0, 1.0], [0.0, 1.0]])
 
     def test_boundary_single_row(self):
-        rows = build_regressors([5, 2], 1)
-        assert len(rows) == 1
-        assert_allclose(rows.design, [[5.0, 1.0]])
+        response, design = build_regressors([5, 2], 1)
+        assert len(response) == 1
+        assert_allclose(design, [[5.0, 1.0]])
 
     def test_order_two_rows(self):
-        rows = build_regressors([1, 2, 3, 4], 2)
-        assert len(rows) == 2
-        assert_allclose(rows.response[0], 3.0)
-        assert_allclose(rows.design[0], [2.0, 1.0, 1.0])
-        assert_allclose(rows.design[1], [3.0, 2.0, 1.0])
+        response, design = build_regressors([1, 2, 3, 4], 2)
+        assert len(response) == 2
+        assert_allclose(response[0], 3.0)
+        assert_allclose(design[0], [2.0, 1.0, 1.0])
+        assert_allclose(design[1], [3.0, 2.0, 1.0])
 
     def test_intercept_column_is_one(self):
-        rows = build_regressors(simulated_series(200, 1), 3)
-        assert np.all(rows.design[:, -1] == 1.0)
+        _, design = build_regressors(simulated_series(200, 1), 3)
+        assert np.all(design[:, -1] == 1.0)
 
     def test_too_short_is_input_error(self):
         with pytest.raises(InputError):
@@ -70,7 +70,7 @@ class TestBuildRegressors:
         series = np.array([3, 2**53 + 1, 0], dtype=np.int64)
         with pytest.raises(InputError, match=str(2**53 + 1)):
             build_regressors(series, 1)
-        assert build_regressors(np.array([2**53, 0, 1]), 1).design[0, 0] == 2.0**53
+        assert build_regressors(np.array([2**53, 0, 1]), 1)[1][0, 0] == 2.0**53
 
     @pytest.mark.parametrize("p", [0, 64])
     def test_order_outside_supported_range(self, p):
@@ -86,8 +86,7 @@ class TestClosedForms:
     def test_alternating_series_matches_hand_solve(self):
         # series 0,1,0,1,... -> solve the 2x2 normal equations directly
         series = np.array([0, 1] * 20)
-        rows = build_regressors(series, 1)
-        y, x = rows.response, rows.design
+        y, x = build_regressors(series, 1)
         lhs = x.T @ x
         mu_oracle = np.linalg.solve(lhs, x.T @ y)
         fit = fit_cls(series, 1)
@@ -105,8 +104,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("seed,n", [(2, 50), (3, 321)])
     def test_matches_numeric_minimization(self, seed, n):
         series = simulated_series(n, seed)
-        rows = build_regressors(series, 1)
-        y, x = rows.response, rows.design
+        y, x = build_regressors(series, 1)
 
         fit = fit_cls(series, 1)
         mu_hat = fit.mu_hat
@@ -161,11 +159,14 @@ class TestConsistencyAtScale:
 class TestMomentMatrices:
     def test_two_row_hand_computation(self):
         # two rows are too few for fit_cls (p + 2 = 3), so build the fit by hand
-        rows = build_regressors([2, 0, 3], 1)
+        response, design = build_regressors([2, 0, 3], 1)
+        mu_hat = np.array([0.1, 0.2])
         fit = CLSFit(
-            mu_hat=np.array([0.1, 0.2]),
+            mu_hat=mu_hat,
             theta_hat=np.array([0.3, 0.4]),
-            rows=rows,
+            design=design,
+            residuals=response - design @ mu_hat,
+            gram=design.T @ design / 2,
             gram_inv=np.array([[1.0, -1.0], [-1.0, 2.0]]),
         )
         fitted = estimate_moment_matrices(fit)
@@ -182,7 +183,7 @@ class TestMomentMatrices:
         assert_allclose(m.im, m.im.T)
         assert_allclose(m.iv, m.iv.T)
         assert_allclose(m.v, m.v.T, atol=1e-12)
-        assert_allclose(m.v21, m.v12.T, atol=1e-12)
+        assert_allclose(m.v[2:, :2], m.v12.T, atol=1e-12)
 
     def test_jm_matches_stationary_moments(self):
         # Poisson innovations keep the INAR(1) marginal Poisson(10/7), so
@@ -190,11 +191,21 @@ class TestMomentMatrices:
         series = simulated_series(100_000, 13)
         fit = fit_cls(series, 1)
         m = estimate_moment_matrices(fit)
-        z = fit.rows.design[:, 0]
+        z = fit.design[:, 0]
         se_z = z.std() / np.sqrt(len(z)) * 2.0
         se_z2 = (z**2).std() / np.sqrt(len(z)) * 2.0
         assert abs(m.jm[0, 1] - 10.0 / 7.0) < 3.0 * se_z
         assert abs(m.jm[0, 0] - 170.0 / 49.0) < 3.0 * se_z2
+
+    def test_reuses_the_fit(self):
+        # jm is the fit's Gram matrix, and V is assembled from the stored blocks
+        series = simulated_series(300, 12)
+        fit = fit_cls(series, 1)
+        m = estimate_moment_matrices(fit)
+        assert m.jm is fit.gram
+        assert np.array_equal(m.v, np.block([[m.v11, m.v12], [m.v12.T, m.v22]]))
+        response, design = build_regressors(series, 1)
+        assert np.array_equal(fit.residuals, response - design @ fit.mu_hat)
 
     def test_constant_regressors_singular(self):
         # the Gram matrix is inverted once, in fit_cls, before any moment matrix
@@ -205,7 +216,8 @@ class TestMomentMatrices:
 class TestAssembly:
     def test_identity_propagation(self):
         eye = np.eye(2)
-        assert_allclose(assemble_V_cls(invert(eye), eye, np.zeros((2, 2)), eye), np.eye(4), atol=1e-14)
+        v11, v12, v22 = assemble_V_cls(invert(eye), eye, np.zeros((2, 2)), eye)
+        assert_allclose(np.block([[v11, v12], [v12.T, v22]]), np.eye(4), atol=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
@@ -218,7 +230,8 @@ class TestAssembly:
             iv = c @ c.T + np.eye(3)
             imv = rng.normal(size=(3, 3))
             imv = 0.5 * (imv + imv.T)
-            v = assemble_V_cls(invert(jm), im, imv, iv)
+            v11, v12, v22 = assemble_V_cls(invert(jm), im, imv, iv)
+            v = np.block([[v11, v12], [v12.T, v22]])
             assert_allclose(v, v.T, atol=1e-10)
 
     def test_general_reduces_to_cls_when_jvm_zero(self):
@@ -231,9 +244,9 @@ class TestAssembly:
             c = rng.normal(size=(dim, dim))
             iv = c @ c.T + np.eye(dim)
             imv = rng.normal(size=(dim, dim))
-            direct = assemble_V_cls(invert(jm), im, imv, iv)
+            v11, v12, v22 = assemble_V_cls(invert(jm), im, imv, iv)
             general = assemble_V_general(jm, jm.copy(), np.zeros((dim, dim)), im, imv, iv)
-            assert_allclose(general, direct, atol=1e-12)
+            assert_allclose(general, np.block([[v11, v12], [v12.T, v22]]), atol=1e-12)
 
     def test_general_all_identity(self):
         eye = np.eye(2)
@@ -286,12 +299,13 @@ class TestDivisorInvariance:
         n = len(series)
         n_eff = fit.n_eff
         scale = n_eff / n
-        v_n = assemble_V_cls(
+        v11, v12, v22 = assemble_V_cls(
             invert(m_eff.jm * scale),
             m_eff.im * scale,
             m_eff.imv * scale,
             m_eff.iv * scale,
         )
+        v_n = np.block([[v11, v12], [v12.T, v22]])
         assert_allclose(v_n, m_eff.v * (n / n_eff), rtol=1e-12)
 
         d = np.array([0.05, -0.02, 0.01, 0.03])

@@ -51,22 +51,25 @@ class TestNullSpec:
 
 class TestBuildK:
     def test_bernoulli_poisson_null(self):
-        K, warnings = build_K(BERN_POIS_NULL, np.array([0.3, 1.0]))
-        assert_allclose(K, np.diag([0.4, 1.0]))
+        values, k, warnings = build_K(BERN_POIS_NULL, np.array([0.3, 1.0]))
+        assert_allclose(values, [0.21, 1.0])
+        assert_allclose(k, [0.4, 1.0])
         assert warnings == []
 
     def test_poisson_only_null_is_identity(self):
         null = NullSpec((PoissonKappa(), PoissonKappa()))
-        K, _ = build_K(null, np.array([0.5, 2.0]))
-        assert_allclose(K, np.eye(2))
+        values, k, _ = build_K(null, np.array([0.5, 2.0]))
+        assert_allclose(values, [0.5, 2.0])
+        assert_allclose(k, np.ones(2))
 
     def test_vanishing_derivative_at_half(self):
-        K, _ = build_K(BERN_POIS_NULL, np.array([0.5, 1.0]))
-        assert K[0, 0] == 0.0
+        _, k, _ = build_K(BERN_POIS_NULL, np.array([0.5, 1.0]))
+        assert k[0] == 0.0
 
     def test_out_of_range_mean_warns_and_proceeds(self):
-        K, warnings = build_K(BERN_POIS_NULL, np.array([1.2, 1.0]))
-        assert_allclose(K[0, 0], 1.0 - 2.4)
+        values, k, warnings = build_K(BERN_POIS_NULL, np.array([1.2, 1.0]))
+        assert_allclose(values[0], 1.2 * (1.0 - 1.2))
+        assert_allclose(k[0], 1.0 - 2.4)
         assert len(warnings) == 1
         assert "admissible range" in warnings[0]
         assert "bernoulli" in warnings[0]
@@ -77,12 +80,17 @@ class TestBuildK:
             build_K(BERN_POIS_NULL, np.array([0.3, 1.0, 2.0]))
 
 
+def blocks(v):
+    half = v.shape[0] // 2
+    return v[:half, :half], v[:half, half:], v[half:, half:]
+
+
 class TestAssembleW:
     def test_identity_K(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=(4, 4))
         v = v @ v.T + 4.0 * np.eye(4)
-        w = assemble_W(np.eye(2), v)
+        w = assemble_W(np.ones(2), *blocks(v))
         expected = v[:2, :2] - v[:2, 2:] - v[2:, :2] + v[2:, 2:]
         assert_allclose(w, expected)
 
@@ -90,11 +98,25 @@ class TestAssembleW:
         rng = np.random.default_rng(3)
         v = rng.normal(size=(4, 4))
         v = v @ v.T + 4.0 * np.eye(4)
-        assert_allclose(assemble_W(np.zeros((2, 2)), v), v[2:, 2:])
+        assert_allclose(assemble_W(np.zeros(2), *blocks(v)), v[2:, 2:])
+
+    def test_matches_diagonal_matrix_form(self):
+        # the elementwise form equals K v11 K - K v12 - v21 K + v22 bit for bit
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 4):
+            k = rng.normal(size=dim)
+            v = rng.normal(size=(2 * dim, 2 * dim))
+            v = v @ v.T
+            v11, v12, v22 = blocks(v)
+            K = np.diag(k)
+            expected = K @ v11 @ K - K @ v12 - v[dim:, :dim] @ K + v22
+            assert np.array_equal(assemble_W(k, v11, v12, v22), expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            assemble_W(np.eye(2), np.eye(3))
+            assemble_W(np.ones(2), np.eye(3), np.eye(3), np.eye(3))
+        with pytest.raises(ValueError):
+            assemble_W(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
 
     def test_scalar_delta_method_oracle(self):
         # i.i.d. Poisson(2) with the Poisson kappa: the discrepancy is
@@ -112,8 +134,7 @@ class TestAssembleW:
             v11 = theta_hat  # jm = 1, im = fitted variance
             v12 = np.mean(resid**3)
             v22 = np.mean(resid**4 - theta_hat**2)
-            V = np.array([[v11, v12], [v12, v22]])
-            w = assemble_W(np.array([[1.0]]), V)  # kappa' = 1 for Poisson
+            w = assemble_W(np.ones(1), [[v11]], [[v12]], [[v22]])  # kappa' = 1 for Poisson
             w_sum += w[0, 0]
             disc[k] = np.sqrt(n) * (mu_hat - theta_hat)
         empirical = disc.var(ddof=1)

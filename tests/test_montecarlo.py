@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from ginar import montecarlo
 from ginar.errors import InputError
 from ginar.montecarlo import (
     ExperimentGrid,
@@ -69,6 +72,22 @@ class TestRunCell:
         # replication fails and is reported rather than dropped
         rejections, failures = run_cell(0.3, 0.0, 3, 5, 10, 0.05, cell_seed=19, jobs=1)
         assert (rejections, failures) == (0, 5)
+
+    @pytest.mark.parametrize("has_affinity", [True, False])
+    def test_default_jobs_counts_usable_cpus(self, monkeypatch, has_affinity):
+        # one usable CPU runs the cell in this process, whatever os.cpu_count says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        if has_affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        expected = run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=37, jobs=1)
+        assert run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=37) == expected
 
     def test_nonstationary_cell_rejected(self):
         with pytest.raises(ValueError):
