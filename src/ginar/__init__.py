@@ -64,4 +64,4 @@ from .montecarlo import (
     run_size_experiment,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -166,9 +166,10 @@ def estimate_moment_matrices(fit):
     def weighted_mean(weights):
         return (design * weights[:, None]).T @ design / fit.n_eff
 
+    r2 = residuals * residuals
     im = weighted_mean(fitted_var)
-    imv = weighted_mean(residuals**3)
-    iv = weighted_mean(residuals**4 - fitted_var**2)
+    imv = weighted_mean(r2 * residuals)
+    iv = weighted_mean(r2 * r2 - fitted_var**2)
     return MomentMatrices(fit.gram, im, imv, iv, *assemble_V_cls(fit.gram_inv, im, imv, iv))
 
 

@@ -480,7 +480,8 @@ class NegBinomialKappa(KappaFamily):
 
 _SPEC_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
-# family name -> (constructor, {accepted key: canonical key}, required canonical keys)
+# family name -> (constructor, {accepted key: canonical key}, required canonical keys),
+# one table for count distributions and one for kappa families
 _DIST_FAMILIES = {
     "bernoulli": (Bernoulli, {"p": "prob", "prob": "prob"}, ("prob",)),
     "poisson": (Poisson, {"rate": "rate", "lam": "rate", "lambda": "rate"}, ("rate",)),
@@ -495,24 +496,42 @@ _DIST_FAMILIES = {
     "berg": (BerG, {"pi": "pi", "xi": "xi"}, ("pi", "xi")),
 }
 
+_KAPPA_FAMILIES = {
+    "bernoulli": (BernoulliKappa, {}, ()),
+    "poisson": (PoissonKappa, {}, ()),
+    "negbinomial": (NegBinomialKappa, {"r": "r"}, ("r",)),
+}
 
-def _parse_params(body, text):
+
+def _parse_spec(text, families, what):
+    """Build the object a ``name(key=value, ...)`` spec names in ``families``."""
+    match = _SPEC_RE.match(text)
+    if not match:
+        raise InputError(f"cannot parse {what} spec {text!r}")
+    family, body = match.group(1).lower(), match.group(2)
+    if family not in families:
+        raise InputError(f"unknown {what} family {family!r} (known: {', '.join(sorted(families))})")
+    ctor, aliases, required = families[family]
     params = {}
-    if not body:
-        return params
-    for token in body.split(","):
-        if "=" not in token:
-            raise InputError(f"expected key=value, got {token.strip()!r} in {text!r}")
-        key, _, raw = token.partition("=")
+    for token in body.split(",") if body else ():
+        key, eq, raw = token.partition("=")
         key = key.strip().lower()
+        if not eq:
+            raise InputError(f"expected key=value, got {token.strip()!r} in {text!r}")
+        if key not in aliases:
+            raise InputError(f"unknown parameter {key!r} for {what} family {family!r} in {text!r}")
         try:
             value = float(raw.strip())
         except ValueError:
             raise InputError(f"bad numeric value {raw.strip()!r} in {text!r}") from None
-        if key in params:
-            raise InputError(f"duplicate parameter {key!r} in {text!r}")
-        params[key] = value
-    return params
+        canon = aliases[key]
+        if canon in params:
+            raise InputError(f"duplicate parameter {canon!r} in {text!r}")
+        params[canon] = value
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise InputError(f"missing parameter(s) {missing} for {what} family {family!r} in {text!r}")
+    return ctor(**params)
 
 
 def parse_distribution(text):
@@ -521,46 +540,9 @@ def parse_distribution(text):
     Family names are case-insensitive. Raises ``InputError`` naming the
     offending token on any malformed input.
     """
-    match = _SPEC_RE.match(text)
-    if not match:
-        raise InputError(f"cannot parse distribution spec {text!r}")
-    family, body = match.group(1).lower(), match.group(2)
-    if family not in _DIST_FAMILIES:
-        known = ", ".join(sorted(set(_DIST_FAMILIES)))
-        raise InputError(f"unknown distribution family {family!r} (known: {known})")
-    ctor, aliases, required = _DIST_FAMILIES[family]
-    raw = _parse_params(body, text)
-    params = {}
-    for key, value in raw.items():
-        if key not in aliases:
-            raise InputError(f"unknown parameter {key!r} for family {family!r} in {text!r}")
-        canon = aliases[key]
-        if canon in params:
-            raise InputError(f"duplicate parameter {canon!r} in {text!r}")
-        params[canon] = value
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise InputError(f"missing parameter(s) {missing} for family {family!r} in {text!r}")
-    return ctor(**params)
-
-
-_KAPPA_FAMILIES = {"bernoulli", "poisson", "negbinomial"}
+    return _parse_spec(text, _DIST_FAMILIES, "distribution")
 
 
 def parse_kappa(text):
     """Parse a kappa family token: ``bernoulli``, ``poisson``, ``negbinomial(r=2)``."""
-    match = _SPEC_RE.match(text)
-    if not match:
-        raise InputError(f"cannot parse kappa family {text!r}")
-    family, body = match.group(1).lower(), match.group(2)
-    if family not in _KAPPA_FAMILIES:
-        known = ", ".join(sorted(_KAPPA_FAMILIES))
-        raise InputError(f"unknown kappa family {family!r} (known: {known})")
-    params = _parse_params(body, text)
-    if family == "negbinomial":
-        if set(params) != {"r"}:
-            raise InputError(f"negbinomial kappa takes exactly one parameter r, got {text!r}")
-        return NegBinomialKappa(r=params["r"])
-    if params:
-        raise InputError(f"kappa family {family!r} takes no parameters, got {text!r}")
-    return BernoulliKappa() if family == "bernoulli" else PoissonKappa()
+    return _parse_spec(text, _KAPPA_FAMILIES, "kappa")

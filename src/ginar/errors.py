@@ -10,6 +10,8 @@ and ``build_K``) is a bug in its caller. The command line exits 2 on
 surfaces with its traceback.
 """
 
+import numbers
+
 
 class GinarError(Exception):
     """Base class for all package errors."""
@@ -37,3 +39,11 @@ class EstimationError(NumericalError):
 
 class TestError(NumericalError):
     """Test statistic could not be formed (e.g. singular W matrix)."""
+
+
+def require_int(what, value, low, high=None):
+    """Raise ``InputError`` unless ``value`` is a Python or numpy integer in
+    ``[low, high)`` (no upper bound when ``high`` is None)."""
+    if not (isinstance(value, numbers.Integral) and low <= value and (high is None or value < high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise InputError(f"{what} must be an integer {bounds}, got {value!r}")

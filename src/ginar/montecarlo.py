@@ -6,11 +6,12 @@ two families coincide in law) with Poisson(1) innovations, tested against
 the Bernoulli + Poisson null. Size cells set xi = 0; power cells take
 xi > 0.
 
-Reproducibility: every cell gets a seed derived from the master seed and
-its position in the grid, and replication k of a cell draws from the
-substream ``SeedSequence(cell_seed, spawn_key=(k,))``. Results are
-therefore identical across runs and across worker counts; replications can
-be farmed out to processes in any order.
+Each cell builds its model and null once and maps ``replicate_once`` over
+its replications, in this process or on a process pool. Reproducibility:
+every cell gets a seed derived from the master seed and its position in
+the grid, and replication k of a cell draws from the substream
+``SeedSequence(cell_seed, spawn_key=(k,))``. Results are therefore
+identical across runs and across worker counts.
 
 Replications that die in estimation (singular matrices, possible only at
 tiny sample sizes) count as failures and are excluded from the rejection
@@ -18,7 +19,9 @@ denominator, never silently dropped.
 """
 
 import csv
+import functools
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ import numpy as np
 
 from .distributions import BerG, Bernoulli, BernoulliKappa, Poisson, PoissonKappa
 from .dispersion_test import NullSpec, run_test
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_int
 from .simulate import GinarModel, sample_path
 
 __all__ = [
@@ -66,6 +69,10 @@ class ExperimentGrid:
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         if not self.pi_values or not self.n_values:
             raise InputError("grid needs at least one pi value and one n value")
+        for name in ("pi_values", "xi_values", "n_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise InputError(f"{name!r} repeats a value, got {values}")
         for pi in self.pi_values:
             if not 0.0 < pi < 1.0:
                 raise InputError(f"'pi_values' must lie in (0,1), got {pi}")
@@ -79,14 +86,11 @@ class ExperimentGrid:
         for n in self.n_values:
             if n < 3:
                 raise InputError(f"series length must be at least 3, got {n}")
-        if self.replications < 1:
-            raise InputError(f"replications must be positive, got {self.replications}")
-        if self.burn_in < 0:
-            raise InputError(f"burn-in must be nonnegative, got {self.burn_in}")
+        require_int("replications", self.replications, 1)
+        require_int("burn-in", self.burn_in, 0)
         if not 0.0 < self.level < 1.0:
             raise InputError(f"level must lie in (0,1), got {self.level}")
-        if not 0 <= self.master_seed < 2**64:
-            raise InputError(f"master seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        require_int("master seed", self.master_seed, 0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -131,58 +135,41 @@ def _cell_model_and_null(pi, xi):
     return model, null
 
 
-def replicate_once(pi, xi, n, burn_in, level, cell_seed, k):
-    """One replication: simulate, test, return True/False/None (reject/keep/failed)."""
-    model, null = _cell_model_and_null(pi, xi)
+def replicate_once(model, null, n, burn_in, level, cell_seed, k):
+    """Replication k of a cell: simulate ``model`` from the substream
+    (cell_seed, k), test against ``null``; True/False/None (reject/keep/failed)."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cell_seed, spawn_key=(k,))))
     series = sample_path(model, n, burn_in, rng)
     try:
-        result = run_test(series, 1, null, level)
+        return run_test(series, 1, null, level).reject
     except NumericalError:
         return None
-    return result.reject
-
-
-def _run_chunk(args):
-    pi, xi, n, burn_in, level, cell_seed, k_start, k_end = args
-    rejections = failures = 0
-    for k in range(k_start, k_end):
-        outcome = replicate_once(pi, xi, n, burn_in, level, cell_seed, k)
-        if outcome is None:
-            failures += 1
-        elif outcome:
-            rejections += 1
-    return rejections, failures
 
 
 def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     """Run one grid cell; returns (rejections, failures).
 
-    Replication k uses the substream derived from (cell_seed, k), so the
-    result does not depend on ``jobs`` or on execution order. ``jobs``
-    defaults to the CPUs this process may run on.
+    The cell's model and null are built once, and its replications run
+    through one ``map``: the built-in one for a single job, else a process
+    pool's, one chunk per worker. Replication k uses the substream derived
+    from (cell_seed, k), so the result does not depend on ``jobs`` or on
+    execution order. ``jobs`` defaults to the CPUs this process may run on.
     """
-    if pi + xi >= 1.0:
-        raise InputError(f"stationarity needs pi + xi < 1, got pi={pi}, xi={xi}")
+    model, null = _cell_model_and_null(pi, xi)
+    require_int("replications", replications, 1)
+    require_int("cell seed", cell_seed, 0)
     if jobs is None:
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     elif jobs < 1:
         raise InputError(f"jobs must be a positive number of worker processes, got {jobs}")
-    jobs = max(1, min(jobs, replications))
+    jobs = min(jobs, replications)
+    replicate = functools.partial(replicate_once, model, null, n, burn_in, level, cell_seed)
     if jobs == 1:
-        return _run_chunk((pi, xi, n, burn_in, level, cell_seed, 0, replications))
-    bounds = np.linspace(0, replications, jobs + 1).astype(int)
-    chunks = [
-        (pi, xi, n, burn_in, level, cell_seed, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    rejections = failures = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rej, fail in pool.map(_run_chunk, chunks):
-            rejections += rej
-            failures += fail
-    return rejections, failures
+        outcomes = list(map(replicate, range(replications)))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(replicate, range(replications), chunksize=math.ceil(replications / jobs)))
+    return outcomes.count(True), outcomes.count(None)
 
 
 def _derive_cell_seed(master_seed, cell_index):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CountDistribution
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "check_stationarity",
@@ -115,12 +115,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"series length must be positive, got {self.n}")
-        if self.burn_in < 0:
-            raise InputError(f"burn-in must be nonnegative, got {self.burn_in}")
-        if not 0 <= self.seed < 2**64:
-            raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        require_int("series length", self.n, 1)
+        require_int("burn-in", self.burn_in, 0)
+        require_int("seed", self.seed, 0, 2**64)
 
 
 def _cdf_row(spec, count, budget):
@@ -151,6 +148,8 @@ def sample_path(model, n, burn_in, rng):
     its count is 0. Fallback draws through ``sample_sum`` come after all of
     these.
     """
+    if n < 1 or burn_in < 0:
+        raise InputError(f"sample_path needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     p = model.order
     steps = burn_in + n
     if steps * p > _INT64_MAX:

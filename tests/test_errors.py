@@ -39,6 +39,10 @@ INVALID = {
     "run_cell": lambda: run_cell(0.7, 0.4, 100, 5, 10, 0.05, cell_seed=23, jobs=1),
     "run_cell_jobs_0": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=31, jobs=0),
     "run_cell_jobs_-1": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=31, jobs=-1),
+    "run_cell_replications_-5": lambda: run_cell(0.3, 0.0, 100, -5, 10, 0.05, cell_seed=1, jobs=1),
+    "run_cell_replications_0": lambda: run_cell(0.3, 0.0, 100, 0, 10, 0.05, cell_seed=1, jobs=1),
+    "run_cell_seed_-1": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=-1, jobs=1),
+    "run_cell_seed_1.5": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=1.5, jobs=1),
     "run_power_experiment": lambda: run_power_experiment(NULL_GRID, jobs=1),
     "build_regressors": lambda: build_regressors([1, -2, 3], 1),
 }

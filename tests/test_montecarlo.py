@@ -43,6 +43,13 @@ class TestGridValidation:
             {"pi_values": (0.3,), "xi_values": (float("nan"),), "n_values": (100,)},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (float("inf"),)},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (500.7,)},
+            # a repeated value would run the same cell twice under two seeds
+            {"pi_values": (0.3, 0.3), "xi_values": (0.0,), "n_values": (100,)},
+            {"pi_values": (0.3,), "xi_values": (0.1, 0.1), "n_values": (100,)},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (50, 50)},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "replications": 2.5},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "burn_in": 2.5},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "master_seed": 1.5},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
@@ -96,8 +103,21 @@ class TestRunCell:
     def test_replicate_once_uses_bernoulli_at_xi_zero(self):
         # same substream, xi=0 vs tiny xi: paths coincide in law but the
         # xi=0 branch must run the plain Bernoulli model without error
-        outcome = replicate_once(0.3, 0.0, 100, 50, 0.05, cell_seed=29, k=0)
+        model, null = montecarlo._cell_model_and_null(0.3, 0.0)
+        outcome = replicate_once(model, null, 100, 50, 0.05, cell_seed=29, k=0)
         assert outcome in (True, False)
+
+    def test_cell_model_built_once(self, monkeypatch):
+        build = montecarlo._cell_model_and_null
+        builds = []
+
+        def counted(pi, xi):
+            builds.append((pi, xi))
+            return build(pi, xi)
+
+        monkeypatch.setattr(montecarlo, "_cell_model_and_null", counted)
+        run_cell(0.3, 0.0, 100, 6, 10, 0.05, cell_seed=41, jobs=1)
+        assert builds == [(0.3, 0.0)]
 
 
 class TestExperiments:
@@ -213,6 +233,7 @@ class TestConfigParsing:
             ("pi_values = 0.3\nn_values = 100, 1e400", "'n_values'"),
             ("pi_values = 0.3\nn_values = 500.7", "'n_values'"),
             ("pi_values = 0.3\nxi_values = nan\nn_values = 100", "'xi_values'"),
+            ("pi_values = 0.3, 0.3\nn_values = 100", "'pi_values' repeats"),
         ],
     )
     def test_parse_errors(self, text, fragment):

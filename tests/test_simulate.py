@@ -101,6 +101,14 @@ class TestModelAndConfig:
             SimConfig(n=10, burn_in=-1)
         with pytest.raises(ValueError):
             SimConfig(n=10, seed=2**64)
+        for kwargs in ({"n": 5.5}, {"n": 10, "burn_in": 2.5}, {"n": 10, "seed": 1.5}):
+            with pytest.raises(InputError):
+                SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("n,burn_in", [(5, -1), (-5, 10), (0, 10)])
+    def test_sample_path_bounds(self, n, burn_in):
+        with pytest.raises(InputError):
+            sample_path(bernoulli_poisson_model(), n, burn_in, np.random.default_rng(1))
 
     def test_length_must_leave_a_regression_row(self):
         with pytest.raises(InputError):
