@@ -8,6 +8,7 @@ ends with a traceback and exit status 1.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,6 +30,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ginar",

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 INNOVATION_RATE = 1.0
+# The INAR(1) fit needs n - 1 >= 3 regression rows.
+_MIN_LENGTH = 4
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,7 @@ class ExperimentGrid:
                 if pi + xi >= 1.0:
                     raise InputError(f"stationarity needs pi + xi < 1, got pi={pi}, xi={xi}")
         for n in self.n_values:
-            if n < 3:
-                raise InputError(f"series length must be at least 3, got {n}")
+            require_int("series length", n, _MIN_LENGTH)
         require_int("replications", self.replications, 1)
         require_int("burn-in", self.burn_in, 0)
         if not 0.0 < self.level < 1.0:
@@ -156,12 +157,16 @@ def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     execution order. ``jobs`` defaults to the CPUs this process may run on.
     """
     model, null = _cell_model_and_null(pi, xi)
+    require_int("series length", n, _MIN_LENGTH)
     require_int("replications", replications, 1)
+    require_int("burn-in", burn_in, 0)
+    if not 0.0 < level < 1.0:
+        raise InputError(f"level must lie in (0,1), got {level}")
     require_int("cell seed", cell_seed, 0)
     if jobs is None:
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    elif jobs < 1:
-        raise InputError(f"jobs must be a positive number of worker processes, got {jobs}")
+    else:
+        require_int("jobs", jobs, 1)
     jobs = min(jobs, replications)
     replicate = functools.partial(replicate_once, model, null, n, burn_in, level, cell_seed)
     if jobs == 1:

@@ -10,13 +10,13 @@ recursion is started from ``p`` pre-sample values drawn from the innovation
 distribution and a burn-in stretch (default 1000 steps) is discarded, so the
 returned stretch is effectively stationary.
 
-Each thinning sum is drawn by inverse transform: ``sample_path`` tabulates
-the CDF of ``thin(spec, k)`` from ``spec.sum_pmf(k)`` the first time a lag
-sees count ``k`` and maps one uniform to a count by binary search. Counts
-whose row would be long (mean + 10 sd above 64 entries), whose law cannot be
-tabulated, or that would push the path's tables past one entry per step are
-drawn with ``spec.sample_sum(k, rng)`` instead. Both routes draw the same
-exact law.
+Each thinning sum is drawn by inverse transform: one uniform maps to a count
+by binary search in the CDF row of ``thin(spec, k)``, tabulated from
+``spec.sum_pmf(k)`` once per process and shared by all paths. Counts whose
+row would be long (mean + 10 sd above 64 entries), whose law cannot be
+tabulated, or that would push the rows a path uses past one entry per step
+are drawn with ``spec.sample_sum(k, rng)`` instead. Both routes draw the
+same exact law.
 
 Reproducibility: ``simulate`` is a pure function of (model, config); the
 seed drives a dedicated PCG64 stream, so identical inputs give bitwise
@@ -25,6 +25,7 @@ harness) can use ``sample_path`` with an explicit generator.
 """
 
 import csv
+import functools
 import io
 import math
 from bisect import bisect_right
@@ -48,7 +49,6 @@ __all__ = [
 # Counts whose thinning sum has mean + 10 sd above this are drawn with
 # ``sample_sum`` instead of a table row.
 _ROW_LIMIT = 64
-_UNSEEN = object()
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -120,23 +120,16 @@ class SimConfig:
         require_int("seed", self.seed, 0, 2**64)
 
 
-def _cdf_row(spec, count, budget):
-    """CDF of ``thin(spec, count)`` as a list, or None to draw it with ``sample_sum``.
-
-    None when the row would be long (mean + 10 sd beyond ``_ROW_LIMIT``) or
-    would not fit in the path's remaining ``budget`` of table entries, and
-    when the law cannot be tabulated. Both length checks use the mean + 10 sd
-    estimate, so no row is built only to be thrown away.
-    """
-    size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
-    if size > _ROW_LIMIT or size > budget:
-        return None
+@functools.lru_cache(maxsize=1024)
+def _table_row(spec, count):
+    """CDF of ``thin(spec, count)`` as a tuple, or None when ``sum_pmf`` cannot
+    tabulate it; built once per process and shared read-only by every path."""
     pmf = spec.sum_pmf(count)
     if pmf is None:
         return None
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0  # the row holds all the mass, so a draw never leaves it
-    return cdf.tolist()
+    return tuple(cdf.tolist())
 
 
 def sample_path(model, n, burn_in, rng):
@@ -146,7 +139,8 @@ def sample_path(model, n, burn_in, rng):
     innovations, then ``(burn_in + n) * p`` uniforms. Lag ``i + 1`` at step
     ``t`` (both counted from 0) consumes uniform ``t * p + i`` whether or not
     its count is 0. Fallback draws through ``sample_sum`` come after all of
-    these.
+    these, in (step, lag) order. The path may take at most ``burn_in + n``
+    table entries; the rows themselves are shared by every path.
     """
     if n < 1 or burn_in < 0:
         raise InputError(f"sample_path needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
@@ -155,24 +149,43 @@ def sample_path(model, n, burn_in, rng):
     if steps * p > _INT64_MAX:
         raise InputError(f"{steps:.6g} steps of {p} lags exceed numpy's largest array")
     path = model.innovation.sample_array(p, rng).tolist()
-    path.extend(model.innovation.sample_array(steps, rng).tolist())
-    uniforms = rng.random(steps * p).tolist()
-    lags = [(i + 1, spec, {}) for i, spec in enumerate(model.counting)]
+    eps = model.innovation.sample_array(steps, rng).tolist()
+    uniforms = rng.random(steps * p)
     budget = steps
-    u = 0
-    for t in range(p, p + steps):
-        z = path[t]
-        for lag, spec, rows in lags:
-            count = path[t - lag]
-            if count:
-                row = rows.get(count, _UNSEEN)
-                if row is _UNSEEN:
-                    row = rows[count] = _cdf_row(spec, count, budget)
-                    if row is not None:
-                        budget -= len(row)
-                z += spec.sample_sum(count, rng) if row is None else bisect_right(row, uniforms[u])
-            u += 1
-        path[t] = z
+
+    def first_sight(spec, rows, count):
+        # A lag takes the row of a new count, charged to the budget, when its
+        # mean + 10 sd length estimate fits both _ROW_LIMIT and the budget;
+        # else None, and the count is drawn with sample_sum.
+        nonlocal budget
+        size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
+        row = rows[count] = _table_row(spec, count) if size <= _ROW_LIMIT and size <= budget else None
+        if row is not None:
+            budget -= len(row)
+        return row
+
+    spec1, rows1 = model.counting[0], {}
+    rest = [(lag, spec, {}, uniforms[lag - 1 :: p].tolist()) for lag, spec in enumerate(model.counting[1:], 2)]
+    x = path[-1]
+    for z, u in zip(eps, uniforms[::p].tolist()):
+        if x:
+            try:
+                row = rows1[x]
+            except KeyError:
+                row = first_sight(spec1, rows1, x)
+            z += spec1.sample_sum(x, rng) if row is None else bisect_right(row, u)
+        if rest:
+            t = len(path) - p
+            for lag, spec, rows, us in rest:
+                count = path[-lag]
+                if count:
+                    try:
+                        row = rows[count]
+                    except KeyError:
+                        row = first_sight(spec, rows, count)
+                    z += spec.sample_sum(count, rng) if row is None else bisect_right(row, us[t])
+        path.append(z)
+        x = z
     return np.array(path[p + burn_in :], dtype=np.int64)
 
 
@@ -235,10 +248,8 @@ def read_series(path):
 
 
 def write_series(path, series):
-    """Write a count series as single-column CSV with header ``count``."""
-    arr = np.asarray(series)
+    """Write a count series as single-column CSV with header ``count``, one
+    write of the bytes ``csv.writer`` would give (CRLF line ends)."""
+    text = "\r\n".join(["count", *map(str, map(int, np.asarray(series).tolist())), ""])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["count"])
-        for value in arr:
-            writer.writerow([int(value)])
+        fh.write(text)

@@ -319,7 +319,7 @@ class TestMonteCarloCommands:
         config = tmp_path / "grid.cfg"
         config.write_text("pi_values = 0.3\nn_values = 150\nreplications = 2\nburn_in = 10\n")
         assert run_cli("mc-size", "--config", str(config), "--jobs", jobs) == 2
-        assert f"jobs must be a positive number of worker processes, got {jobs}" in capsys.readouterr().err
+        assert f"jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
 
     def test_length_beyond_array_limit_exits_2(self, tmp_path, capsys):
         config = tmp_path / "grid.cfg"

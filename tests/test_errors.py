@@ -43,6 +43,8 @@ INVALID = {
     "run_cell_replications_0": lambda: run_cell(0.3, 0.0, 100, 0, 10, 0.05, cell_seed=1, jobs=1),
     "run_cell_seed_-1": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=-1, jobs=1),
     "run_cell_seed_1.5": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=1.5, jobs=1),
+    # the INAR(1) fit needs n - 1 >= 3 rows, so at n = 3 every replication would fail
+    "run_cell_n_3": lambda: run_cell(0.3, 0.0, 3, 5, 10, 0.05, cell_seed=19, jobs=1),
     "run_power_experiment": lambda: run_power_experiment(NULL_GRID, jobs=1),
     "build_regressors": lambda: build_regressors([1, -2, 3], 1),
 }

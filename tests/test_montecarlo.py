@@ -50,6 +50,8 @@ class TestGridValidation:
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "replications": 2.5},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "burn_in": 2.5},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "master_seed": 1.5},
+            # n = 3 leaves two regression rows, one short of the INAR(1) fit
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (3,)},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
@@ -75,10 +77,29 @@ class TestRunCell:
         assert serial == parallel
 
     def test_tiny_series_counts_failures(self):
-        # n=3 leaves two regression rows, below the p+2 minimum, so every
-        # replication fails and is reported rather than dropped
-        rejections, failures = run_cell(0.3, 0.0, 3, 5, 10, 0.05, cell_seed=19, jobs=1)
-        assert (rejections, failures) == (0, 5)
+        # n=4 leaves three regression rows, the p+2 minimum, so most
+        # replications hit a singular matrix; each is reported, not dropped
+        model, null = montecarlo._cell_model_and_null(0.3, 0.0)
+        outcomes = [replicate_once(model, null, 4, 10, 0.05, 19, k) for k in range(20)]
+        assert outcomes.count(None) > 0
+        assert run_cell(0.3, 0.0, 4, 20, 10, 0.05, cell_seed=19, jobs=1) == (
+            outcomes.count(True),
+            outcomes.count(None),
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"level": 1.5}, {"level": 0.0}, {"burn_in": -1}, {"burn_in": 2.5}, {"n": 3}, {"n": 2}, {"jobs": 1.5}],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_input_refused_before_pool_starts(self, monkeypatch, bad):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        args = dict(pi=0.3, xi=0.0, n=100, replications=4, burn_in=10, level=0.05, cell_seed=43, jobs=2)
+        with pytest.raises(InputError):
+            run_cell(**(args | bad))
 
     @pytest.mark.parametrize("has_affinity", [True, False])
     def test_default_jobs_counts_usable_cpus(self, monkeypatch, has_affinity):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -277,6 +279,69 @@ class TestEngineLaw:
         assert abs(z.mean() - 5000.0 / 0.99) < 3.0 * se
 
 
+# (counting specs, innovation, sha256 prefix of the bank's paths). The digests
+# were computed with the per-path row engine of version 0.2.0; a faster
+# sampler must reproduce them bit for bit.
+GOLDEN_BANK = {
+    "bernoulli": ((Bernoulli(0.3),), Poisson(1.0), "5830e9c3ac591f6b"),
+    "berg": ((BerG(0.2, 0.3),), Poisson(1.0), "4c179db46c4cc6bc"),
+    "bernoulli_high": ((Bernoulli(0.8),), Poisson(1.0), "59edbd1b07c2ce7f"),
+    "fallback": ((Bernoulli(0.01),), Poisson(5000.0), "58393ffbd574d689"),
+    "zj": ((ZJExtended(0.5, 0.5),), Poisson(2.0), "8775509978ef5d2a"),
+    "nb_innovation": ((Geometric(0.6),), NegBinomial(2.0, 0.4), "1c61e4adcf4da126"),
+    "p2": ((NegBinomial(2.0, 0.9), Geometric(0.8)), Poisson(1.0), "6f9ab90820064495"),
+    "p3": ((Bernoulli(0.3), Bernoulli(0.2), BerG(0.1, 0.1)), Poisson(1.5), "9511493ee8beae9a"),
+    "zj_innovation": ((Poisson(0.5),), ZJExtended(0.5, 0.3), "d415e495f3b748d8"),
+    "p2_same_spec": ((Bernoulli(0.4), Bernoulli(0.4)), Poisson(3.0), "2a45c5e80ac8ffed"),
+    "budget": ((Bernoulli(0.5),), Poisson(3.0), "7d9e9385f4c2a640"),
+}
+# (n, burn_in): the short paths without burn-in run out of row budget
+GOLDEN_SHAPES = ((1, 0), (5, 0), (40, 0), (200, 50), (500, 1000))
+
+
+class TestSharedRows:
+    """CDF rows are built once per process and shared by every path; the
+    per-path row budget and the stream layout stay as they were."""
+
+    @pytest.mark.parametrize("name", GOLDEN_BANK)
+    def test_golden_paths(self, name):
+        counting, innovation, digest = GOLDEN_BANK[name]
+        model = GinarModel(counting=counting, innovation=innovation)
+        sha = hashlib.sha256()
+        for n, burn_in in GOLDEN_SHAPES:
+            for seed in range(5):
+                sha.update(sample_path(model, n, burn_in, np.random.default_rng(seed)).tobytes())
+        assert sha.hexdigest()[:16] == digest
+
+    def test_second_path_builds_no_rows(self, monkeypatch):
+        calls = []
+        original = Bernoulli.sum_pmf
+        monkeypatch.setattr(Bernoulli, "sum_pmf", lambda self, count: calls.append(count) or original(self, count))
+        model = GinarModel(counting=(Bernoulli(0.3713),), innovation=Poisson(1.3))
+        first = sample_path(model, 500, 100, np.random.default_rng(5))
+        assert calls
+        calls.clear()
+        assert_array_equal(sample_path(model, 500, 100, np.random.default_rng(5)), first)
+        assert calls == []
+
+    def test_short_path_budget_refuses_built_rows(self, monkeypatch):
+        # without burn-in a path of 3 steps may take 3 table entries, and
+        # every Bernoulli(0.5) row is estimated longer (6.5 and up), so each
+        # nonzero count goes to sample_sum although its row is already built
+        model = GinarModel(counting=(Bernoulli(0.5),), innovation=Poisson(3.0))
+        sample_path(model, 2000, 0, np.random.default_rng(8))
+        calls = []
+        original = Bernoulli.sample_sum
+        monkeypatch.setattr(Bernoulli, "sample_sum", lambda self, *a: calls.append(a[0]) or original(self, *a))
+        path = sample_path(model, 3, 0, np.random.default_rng(9))
+        start = int(model.innovation.sample_array(1, np.random.default_rng(9))[0])
+        expected = [count for count in (start, *path[:-1].tolist()) if count]
+        assert expected and calls == expected
+        calls.clear()
+        sample_path(model, 3, 1000, np.random.default_rng(9))
+        assert calls == []
+
+
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -284,6 +349,13 @@ class TestSeriesCsv:
         write_series(path, series)
         assert path.read_text().splitlines()[0] == "count"
         assert_array_equal(read_series(path), series)
+
+    def test_written_bytes_are_csv_writer_crlf(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series(path, np.array([3, 0, 12], dtype=np.int64))
+        assert path.read_bytes() == b"count\r\n3\r\n0\r\n12\r\n"
+        write_series(path, np.array([], dtype=np.int64))
+        assert path.read_bytes() == b"count\r\n"
 
     def test_header_optional(self, tmp_path):
         path = tmp_path / "bare.csv"
