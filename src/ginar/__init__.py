@@ -39,7 +39,6 @@ from .cls import (
     CLSFit,
     MomentMatrices,
     assemble_V_cls,
-    assemble_V_general,
     build_regressors,
     estimate_moment_matrices,
     fit_cls,

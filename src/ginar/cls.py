@@ -15,10 +15,13 @@ silently change the downstream test statistic).
 
 A fit keeps its design matrix, residuals, Gram matrix and inverse Gram
 matrix, and the plug-in moment matrices reuse them rather than recompute
-them. The sandwich covariance V of the estimators is assembled block by
-block: ``assemble_V_cls`` gives the blocks v11, v12 and v22 of the
-cross-term-free form the CLS estimating functions admit (v21 = v12'), and
-``assemble_V_general`` the full matrix for a nonzero J_vm block.
+them. ``assemble_V_cls`` gives the blocks v11, v12 and v22 of the sandwich
+covariance V of the estimators, in the cross-term-free form the CLS
+estimating functions admit (v21 = v12').
+
+Every stage also takes a block (R, n) of equal-length series, each row
+getting the bits of its series fitted alone; a block fit flags singular
+Gram matrices in ``gram_pivots`` and carries no warning text.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InputError, SingularMatrixError
-from .numerics import MAX_DIM, invert
+from .numerics import MAX_DIM, invert_batch
 
 __all__ = [
     "CLSFit",
@@ -35,7 +38,6 @@ __all__ = [
     "fit_cls",
     "estimate_moment_matrices",
     "assemble_V_cls",
-    "assemble_V_general",
     "format_fit_report",
 ]
 
@@ -44,34 +46,36 @@ def build_regressors(series, p):
     """Pair each Z_t (t = p+1..n) with its regressor (Z_{t-1},...,Z_{t-p},1).
 
     Returns ``(response, design)``: the (n_eff,) responses and the
-    (n_eff, p+1) design matrix, whose last column is identically 1.
-    Counts above 2**53 are refused: float64 holds every integer up to 2**53 exactly.
+    (n_eff, p+1) design matrix, whose last column is identically 1, with a
+    leading R axis for a block. Counts above 2**53 are refused: float64
+    holds every integer up to 2**53 exactly.
     """
     z = np.asarray(series)
-    if z.ndim != 1:
-        raise InputError(f"series must be one-dimensional, got shape {z.shape}")
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise InputError(f"series must be one series (n,) or a block (R, n) of them, got shape {z.shape}")
     if not 1 <= p < MAX_DIM:
         raise InputError(f"order must be an integer in 1..{MAX_DIM - 1}, got {p}")
-    if len(z) <= p:
-        raise InputError(f"series length {len(z)} too short for order {p}")
+    n = z.shape[-1]
+    if n <= p:
+        raise InputError(f"series length {n} too short for order {p}")
     counts = z.astype(np.float64)
     if np.any(counts < 0) or (z.dtype.kind not in "iu" and np.any(counts != np.floor(counts))):
         raise InputError("series values must be nonnegative integers")
     largest = z.max()
     if largest > 2**53:
         raise InputError(f"count {largest} exceeds 2**53, the largest a float64 holds exactly")
-    n_eff = len(z) - p
-    design = np.ones((n_eff, p + 1))
+    design = np.ones(z.shape[:-1] + (n - p, p + 1))
     for i in range(p):
-        design[:, i] = counts[p - 1 - i : len(z) - 1 - i]
-    return counts[p:], design
+        design[..., i] = counts[..., p - 1 - i : n - 1 - i]
+    return counts[..., p:], design
 
 
 @dataclass(frozen=True)
 class CLSFit:
     """Both CLS stages plus what they computed on the way: the design
     matrix, the first-stage residuals Z_t - mu_hat'Y, the Gram matrix
-    mean(Y Y') and its inverse. The moment matrices reuse all four."""
+    mean(Y Y') and its inverse, which the moment matrices reuse; for a block,
+    each row's first bad Gram pivot (-1 if none)."""
 
     mu_hat: np.ndarray
     theta_hat: np.ndarray
@@ -80,33 +84,35 @@ class CLSFit:
     gram: np.ndarray
     gram_inv: np.ndarray
     warnings: tuple = ()
+    gram_pivots: np.ndarray = None
 
     @property
     def n_eff(self):
-        return self.design.shape[0]
+        return self.design.shape[-2]
 
 
 def fit_cls(series, p):
-    """Run both CLS stages on a series and collect estimate-quality warnings.
-
-    The regressors are built and their Gram matrix inverted once, for both
-    stages.
-    """
+    """Run both CLS stages on a series, or each row of a block, and collect
+    estimate-quality warnings; the regressors are built and their Gram
+    matrix inverted once, for both stages."""
     response, design = build_regressors(series, p)
-    n_eff = len(response)
+    n_eff = response.shape[-1]
     if n_eff < p + 2:
         raise EstimationError(f"need at least p + 2 = {p + 2} rows, got {n_eff}")
-    gram = design.T @ design / n_eff
-    try:
-        gram_inv = invert(gram)
-    except SingularMatrixError as exc:
+    design_t = np.swapaxes(design, -1, -2)
+    gram = design_t @ design / n_eff
+    gram_inv, pivots = invert_batch(gram.reshape((-1,) + gram.shape[-2:]))
+    gram_inv = gram_inv.reshape(gram.shape)
+    if gram.ndim == 2 and pivots[0] >= 0:
         raise EstimationError(
             "singular Gram matrix: regressor columns are linearly dependent "
-            f"(pivot {exc.pivot_index}); a constant series is the typical cause"
-        ) from exc
-    mu_hat = gram_inv @ (design.T @ response / n_eff)
-    residuals = response - design @ mu_hat
-    theta_hat = gram_inv @ (design.T @ residuals**2 / n_eff)
+            f"(pivot {pivots[0]}); a constant series is the typical cause"
+        ) from SingularMatrixError(int(pivots[0]))
+    mu_hat = (gram_inv @ (design_t @ response[..., None] / n_eff))[..., 0]
+    residuals = response - (design @ mu_hat[..., None])[..., 0]
+    theta_hat = (gram_inv @ (design_t @ (residuals**2)[..., None] / n_eff))[..., 0]
+    if gram.ndim == 3:
+        return CLSFit(mu_hat, theta_hat, design, residuals, gram, gram_inv, gram_pivots=pivots)
 
     warnings = []
     thinning_means = mu_hat[:-1]
@@ -161,15 +167,10 @@ def estimate_moment_matrices(fit):
     """
     design = fit.design
     residuals = fit.residuals
-    fitted_var = design @ fit.theta_hat
-
-    def weighted_mean(weights):
-        return (design * weights[:, None]).T @ design / fit.n_eff
-
+    fitted_var = (design @ fit.theta_hat[..., None])[..., 0]
     r2 = residuals * residuals
-    im = weighted_mean(fitted_var)
-    imv = weighted_mean(r2 * residuals)
-    iv = weighted_mean(r2 * r2 - fitted_var**2)
+    weights = (fitted_var, r2 * residuals, r2 * r2 - fitted_var**2)
+    im, imv, iv = (np.swapaxes(design * w[..., None], -1, -2) @ design / fit.n_eff for w in weights)
     return MomentMatrices(fit.gram, im, imv, iv, *assemble_V_cls(fit.gram_inv, im, imv, iv))
 
 
@@ -182,32 +183,6 @@ def assemble_V_cls(jm_inv, im, imv, iv):
     and v21 = v12'.
     """
     return tuple(jm_inv @ m @ jm_inv for m in (im, imv, iv))
-
-
-def assemble_V_general(jm, jv, jvm, im, imv, iv):
-    """Assemble V for estimating equations with a nonzero J_vm cross block.
-
-    Implements the full block formulas
-
-        v11 = jm^{-1} im jm^{-1}
-        v12 = jm^{-1} (imv - im jm^{-1} jvm') jv^{-1}
-        v21 = v12'
-        v22 = jv^{-1} (iv + jvm jm^{-1} im jm^{-1} jvm'
-                       - imv' jm^{-1} jvm' - jvm jm^{-1} imv) jv^{-1}
-
-    which reduce to the blocks of ``assemble_V_cls`` when jvm = 0 and jv = jm.
-    """
-    jm_inv = invert(np.asarray(jm, dtype=np.float64))
-    jv_inv = invert(np.asarray(jv, dtype=np.float64))
-    jvm = np.asarray(jvm, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    imv = np.asarray(imv, dtype=np.float64)
-    iv = np.asarray(iv, dtype=np.float64)
-    v11 = jm_inv @ im @ jm_inv
-    v12 = jm_inv @ (imv - im @ jm_inv @ jvm.T) @ jv_inv
-    core = iv + jvm @ jm_inv @ im @ jm_inv @ jvm.T - imv.T @ jm_inv @ jvm.T - jvm @ jm_inv @ imv
-    v22 = jv_inv @ core @ jv_inv
-    return np.block([[v11, v12], [v12.T, v22]])
 
 
 def _format_vector(vec):

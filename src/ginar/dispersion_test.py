@@ -15,29 +15,48 @@ built from the blocks of the estimators' joint covariance V and the
 diagonal matrix K of kappa derivatives at mu_hat. A subvector variant
 restricts the discrepancy and W to selected components (e.g. thinning lags
 only), with degrees of freedom equal to the number of tested components.
+
+The tests also take a block (R, n) of equal-length series, run each stage
+once over it and return a ``BlockResult``: per row the bits of its series
+tested alone, as statistic, p-value and an outcome code, KEEP, REJECT,
+NEGATIVE (T < 0, null kept) or the failure one series would raise
+(SINGULAR_GRAM, NONFINITE, SINGULAR_W, OVERFLOW).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cls import estimate_moment_matrices, fit_cls
 from .distributions import KappaFamily, parse_kappa
-from .errors import InputError, SingularMatrixError, TestError
-from .numerics import chi_square_survival, invert
+from .errors import InputError, TestError
+from .numerics import chi_square_survival, invert_batch
 
 __all__ = [
     "NullSpec",
     "TestResult",
+    "BlockResult",
     "build_K",
     "assemble_W",
     "test_statistic",
+    "quadratic_forms",
     "run_test",
     "run_subvector_test",
     "parse_null",
     "format_test_report",
 ]
+
+
+# Outcome codes of a block's rows; SINGULAR_GRAM and above are failures.
+KEEP, REJECT, NEGATIVE, SINGULAR_GRAM, NONFINITE, SINGULAR_W, OVERFLOW = range(7)
+
+_TEST_ERRORS = {
+    NONFINITE: "the discrepancy or W_hat has non-finite entries (overflow in the kappa formulas or the moment "
+    "matrices), so the test statistic is undefined",
+    SINGULAR_W: "W_hat is singular to working precision; the data or the null specification is degenerate "
+    "(e.g. a kappa derivative of zero), so the test statistic is undefined",
+    OVERFLOW: "the test statistic overflowed to {statistic}",
+}
 
 
 @dataclass(frozen=True)
@@ -86,29 +105,43 @@ class TestResult:
     warnings: tuple = ()
 
 
+@dataclass(frozen=True)
+class BlockResult:
+    """Per-row outcome of a block test (module notes); NaN where a row failed."""
+
+    statistics: np.ndarray
+    p_values: np.ndarray
+    outcomes: np.ndarray
+    df: int
+    level: float
+    indices: tuple
+
+
 def build_K(null, mu_hat):
     """kappa(mu_hat), the diagonal of K = diag(kappa'(mu_hat)) and the
     admissibility warnings, in one pass over the null.
 
     Components outside a family's admissible range are evaluated by the
     smooth extension of the formula and reported in the returned warnings
-    rather than raised, so boundary-ish estimates do not abort a run.
+    rather than raised, so boundary-ish estimates do not abort a run. A
+    block of estimates gets no warnings.
     """
     mu_hat = np.asarray(mu_hat, dtype=np.float64)
-    if len(mu_hat) != len(null.kappas):
-        raise ValueError(f"mu_hat has length {len(mu_hat)}, null expects {len(null.kappas)}")
+    if mu_hat.shape[-1:] != (len(null.kappas),):
+        raise ValueError(f"mu_hat has shape {mu_hat.shape}, null expects {len(null.kappas)} components")
     warnings = []
-    values = np.empty(len(mu_hat))
-    k = np.empty(len(mu_hat))
-    for i, (kappa, mu) in enumerate(zip(null.kappas, mu_hat)):
-        if not kappa.admissible(mu):
+    values = np.empty_like(mu_hat)
+    k = np.empty_like(mu_hat)
+    # .T[i] is component i: a scalar of one estimate, a column of a block
+    for i, (kappa, mu) in enumerate(zip(null.kappas, mu_hat.T)):
+        if mu_hat.ndim == 1 and not kappa.admissible(mu):
             warnings.append(
                 f"estimated mean {mu:.6g} at position {i + 1} is outside the "
                 f"admissible range {kappa.range_text} of the {kappa.name} kappa "
                 "family; formulas evaluated by smooth extension"
             )
-        values[i] = kappa.value(mu)
-        k[i] = kappa.derivative(mu)
+        values.T[i] = kappa.value(mu)
+        k.T[i] = kappa.derivative(mu)
     return values, k, warnings
 
 
@@ -116,44 +149,44 @@ def assemble_W(k, v11, v12, v22):
     """Delta-method covariance of kappa(mu_hat) - theta_hat.
 
     W = K v11 K - K v12 - v21 K + v22 with K = diag(k), for the (p+1)
-    blocks of the joint covariance V (v21 = v12').
+    blocks of the joint covariance V (v21 = v12'), or per row of stacks.
     """
     k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 1:
-        raise ValueError(f"k must be a vector of kappa derivatives, got shape {k.shape}")
-    half = len(k)
+    shape = k.shape + k.shape[-1:]
     for name, block in (("v11", v11), ("v12", v12), ("v22", v22)):
-        if np.shape(block) != (half, half):
-            raise ValueError(f"{name} must be {half}x{half} to match k, got shape {np.shape(block)}")
-    kv12 = k[:, None] * v12
-    return k[:, None] * v11 * k - kv12 - kv12.T + v22
+        if np.shape(block) != shape:
+            raise ValueError(f"{name} must have shape {shape} to match k, got shape {np.shape(block)}")
+    column = k[..., :, None]
+    kv12 = column * v12
+    return column * v11 * k[..., None, :] - kv12 - np.swapaxes(kv12, -1, -2) + v22
+
+
+def quadratic_forms(discrepancies, w_hats, n_eff):
+    """Quadratic forms n_eff * d' W^{-1} d of (R, m) discrepancies and
+    (R, m, m) W matrices, and per row a failure code, 0 if none: NONFINITE
+    (e.g. a kappa derivative so large that W overflows), SINGULAR_W or OVERFLOW."""
+    d = np.asarray(discrepancies, dtype=np.float64)
+    w = np.asarray(w_hats, dtype=np.float64)
+    finite = np.isfinite(np.concatenate((d, w.reshape(len(w), -1)), axis=1)).all(axis=1)
+    if not finite.all():  # finite stand-ins, for the inversion
+        d = np.where(finite[:, None], d, 0.0)
+        w = np.where(finite[:, None, None], w, np.eye(w.shape[-1]))
+    w_inv, pivots = invert_batch(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistics = ((n_eff * d)[:, None, :] @ w_inv @ d[:, :, None])[:, 0, 0]
+    causes = np.where(np.isfinite(statistics), 0, OVERFLOW)
+    causes[pivots >= 0] = SINGULAR_W
+    causes[~finite] = NONFINITE
+    return statistics, causes
 
 
 def test_statistic(discrepancy, w_hat, n_eff):
-    """Quadratic form n_eff * d' W^{-1} d.
-
-    Raises ``TestError`` when d or W has non-finite entries (e.g. a kappa
-    derivative so large that W overflows), when W is singular, or when the
-    form itself overflows.
-    """
-    d = np.asarray(discrepancy, dtype=np.float64)
-    if not (np.isfinite(d).all() and np.isfinite(w_hat).all()):
-        raise TestError(
-            "the discrepancy or W_hat has non-finite entries (overflow in the "
-            "kappa formulas or the moment matrices), so the test statistic is undefined"
-        )
-    try:
-        w_inv = invert(w_hat)
-    except SingularMatrixError as exc:
-        raise TestError(
-            "W_hat is singular to working precision; the data or the null "
-            "specification is degenerate (e.g. a kappa derivative of zero), "
-            "so the test statistic is undefined"
-        ) from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        statistic = float(n_eff * d @ w_inv @ d)
-    if not math.isfinite(statistic):
-        raise TestError(f"the test statistic overflowed to {statistic}")
+    """Quadratic form n_eff * d' W^{-1} d: ``quadratic_forms`` on a stack
+    of one, raising ``TestError`` on a failure."""
+    statistics, causes = quadratic_forms(np.asarray(discrepancy)[None], np.asarray(w_hat)[None], n_eff)
+    statistic = float(statistics[0])
+    if causes[0]:
+        raise TestError(_TEST_ERRORS[causes[0]].format(statistic=statistic))
     return statistic
 
 
@@ -176,18 +209,19 @@ def _run(series, p, null, indices, level):
         raise InputError(f"null spec has {null.order + 1} families, expected p+1 = {p + 1}")
     fit = fit_cls(series, p)
     moments = estimate_moment_matrices(fit)
-    with np.errstate(over="ignore", invalid="ignore"):  # test_statistic rejects non-finite d or W
+    with np.errstate(over="ignore", invalid="ignore"):  # quadratic_forms flags non-finite d or W
         kappa_vals, k, k_warnings = build_K(null, fit.mu_hat)
         w_full = assemble_W(k, moments.v11, moments.v12, moments.v22)
     d_full = kappa_vals - fit.theta_hat
 
     idx = _resolve_indices(indices, p + 1)
+    df = len(idx)
     sel = np.array(idx) - 1
-    d = d_full[sel]
-    w = w_full[np.ix_(sel, sel)]
+    d, w = (d_full, w_full) if df == p + 1 else (d_full[..., sel], w_full[..., sel[:, None], sel])
+    if fit.gram_pivots is not None:
+        return _block_result(fit, d, w, df, level, idx)
 
     statistic = test_statistic(d, w, fit.n_eff)
-    df = len(idx)
     p_value = chi_square_survival(max(statistic, 0.0), df)
     warnings = tuple(fit.warnings) + tuple(k_warnings)
     if statistic < 0.0:
@@ -195,17 +229,19 @@ def _run(series, p, null, indices, level):
             f"test statistic {statistic:.6g} is negative because W_hat is indefinite "
             "on the tested components; p-value set to 1 and the null kept",
         )
-    return TestResult(
-        statistic=statistic,
-        df=df,
-        p_value=p_value,
-        reject=bool(p_value <= level),
-        level=level,
-        discrepancy=d,
-        w_hat=w,
-        indices=idx,
-        warnings=warnings,
-    )
+    return TestResult(statistic, df, p_value, bool(p_value <= level), level, d, w, idx, warnings)
+
+
+def _block_result(fit, d, w, df, level, idx):
+    statistics, outcomes = quadratic_forms(d, w, fit.n_eff)
+    outcomes[fit.gram_pivots >= 0] = SINGULAR_GRAM
+    tested = np.flatnonzero(outcomes == KEEP)
+    t = statistics[tested]
+    p_values = np.full(len(outcomes), np.nan)
+    p_values[tested] = [chi_square_survival(max(x, 0.0), df) for x in t.tolist()]
+    outcomes[tested] = np.where(t < 0.0, NEGATIVE, np.where(p_values[tested] <= level, REJECT, KEEP))
+    statistics[outcomes >= SINGULAR_GRAM] = np.nan
+    return BlockResult(statistics, p_values, outcomes, df, level, idx)
 
 
 def run_test(series, p, null, level=0.05):
@@ -213,7 +249,7 @@ def run_test(series, p, null, level=0.05):
 
     Pipeline: CLS fit, plug-in moment matrices, K and W assembly, then the
     chi-square p-value with p+1 degrees of freedom; the null is rejected
-    when it is at most the level.
+    when it is at most the level. A block of series gives a ``BlockResult``.
     """
     return _run(series, p, null, range(1, p + 2), level)
 

@@ -43,7 +43,8 @@ class TestError(NumericalError):
 
 def require_int(what, value, low, high=None):
     """Raise ``InputError`` unless ``value`` is a Python or numpy integer in
-    ``[low, high)`` (no upper bound when ``high`` is None)."""
-    if not (isinstance(value, numbers.Integral) and low <= value and (high is None or value < high)):
+    ``[low, high)`` (no upper bound when ``high`` is None); a bool is refused."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and low <= value and (high is None or value < high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InputError(f"{what} must be an integer {bounds}, got {value!r}")

@@ -6,12 +6,14 @@ two families coincide in law) with Poisson(1) innovations, tested against
 the Bernoulli + Poisson null. Size cells set xi = 0; power cells take
 xi > 0.
 
-Each cell builds its model and null once and maps ``replicate_once`` over
-its replications, in this process or on a process pool. Reproducibility:
-every cell gets a seed derived from the master seed and its position in
-the grid, and replication k of a cell draws from the substream
-``SeedSequence(cell_seed, spawn_key=(k,))``. Results are therefore
-identical across runs and across worker counts.
+Each cell builds its model and null once and cuts its replications into
+blocks of at most ``BLOCK``, each simulated path by path and tested by one
+``run_test`` call on the stacked paths, in this process or on a process
+pool. Reproducibility: every cell gets a seed derived from the master seed
+and its position in the grid, and replication k of a cell draws from the
+substream ``SeedSequence(cell_seed, spawn_key=(k,))``. A block row has the
+bits of its series tested alone (``replicate_once``), so results are
+identical across runs, block sizes and worker counts.
 
 Replications that die in estimation (singular matrices, possible only at
 tiny sample sizes) count as failures and are excluded from the rejection
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BerG, Bernoulli, BernoulliKappa, Poisson, PoissonKappa
-from .dispersion_test import NullSpec, run_test
+from .dispersion_test import REJECT, SINGULAR_GRAM, NullSpec, run_test
 from .errors import InputError, NumericalError, require_int
 from .simulate import GinarModel, sample_path
 
@@ -49,6 +51,10 @@ __all__ = [
 INNOVATION_RATE = 1.0
 # The INAR(1) fit needs n - 1 >= 3 regression rows.
 _MIN_LENGTH = 4
+# Replications per run_test call. Blocks of 8 keep most of the batching
+# gain, and larger ones push the rest of the process out of cache: with
+# blocks of 24 the simulations and single tests that follow ran 10-30% slower.
+BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -136,25 +142,34 @@ def _cell_model_and_null(pi, xi):
     return model, null
 
 
+def _substream(cell_seed, k):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(cell_seed, spawn_key=(k,))))
+
+
 def replicate_once(model, null, n, burn_in, level, cell_seed, k):
     """Replication k of a cell: simulate ``model`` from the substream
     (cell_seed, k), test against ``null``; True/False/None (reject/keep/failed)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cell_seed, spawn_key=(k,))))
-    series = sample_path(model, n, burn_in, rng)
+    series = sample_path(model, n, burn_in, _substream(cell_seed, k))
     try:
         return run_test(series, 1, null, level).reject
     except NumericalError:
         return None
 
 
+def _replicate_block(model, null, n, burn_in, level, cell_seed, ks):
+    """Replications ``ks`` of a cell, tested as one block; their outcome codes."""
+    paths = np.stack([sample_path(model, n, burn_in, _substream(cell_seed, k)) for k in ks])
+    return run_test(paths, 1, null, level).outcomes
+
+
 def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     """Run one grid cell; returns (rejections, failures).
 
-    The cell's model and null are built once, and its replications run
-    through one ``map``: the built-in one for a single job, else a process
-    pool's, one chunk per worker. Replication k uses the substream derived
-    from (cell_seed, k), so the result does not depend on ``jobs`` or on
-    execution order. ``jobs`` defaults to the CPUs this process may run on.
+    The cell's model and null are built once, and its blocks run through
+    one ``map``: the built-in one for a single job, else a process pool's,
+    one task per worker. Replication k uses the substream (cell_seed, k), so
+    the result depends neither on ``jobs`` nor on the blocks, and ``jobs``
+    defaults to the CPUs this process may run on.
     """
     model, null = _cell_model_and_null(pi, xi)
     require_int("series length", n, _MIN_LENGTH)
@@ -168,13 +183,16 @@ def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     else:
         require_int("jobs", jobs, 1)
     jobs = min(jobs, replications)
-    replicate = functools.partial(replicate_once, model, null, n, burn_in, level, cell_seed)
+    # blocks of equal size, at most BLOCK, and as many for every worker
+    count = min(replications, jobs * math.ceil(replications / (BLOCK * jobs)))
+    blocks = [range(replications * i // count, replications * (i + 1) // count) for i in range(count)]
+    replicate = functools.partial(_replicate_block, model, null, n, burn_in, level, cell_seed)
     if jobs == 1:
-        outcomes = list(map(replicate, range(replications)))
+        outcomes = np.concatenate(list(map(replicate, blocks)))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(replicate, range(replications), chunksize=math.ceil(replications / jobs)))
-    return outcomes.count(True), outcomes.count(None)
+            outcomes = np.concatenate(list(pool.map(replicate, blocks, chunksize=math.ceil(count / jobs))))
+    return int(np.count_nonzero(outcomes == REJECT)), int(np.count_nonzero(outcomes >= SINGULAR_GRAM))
 
 
 def _derive_cell_seed(master_seed, cell_index):

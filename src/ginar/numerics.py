@@ -1,9 +1,9 @@
 """Small dense matrix algebra and chi-square tail utilities.
 
 Everything here operates on tiny matrices (at most ``2*(p+1)`` square, with
-p the autoregressive order), so a plain Gauss-Jordan sweep is both fast
-enough and lets us surface the exact pivot that went bad instead of a
-generic linear-algebra failure.
+p the autoregressive order), so a plain Gauss-Jordan sweep over each matrix
+of a stack is both fast enough and lets us surface the exact pivot that went
+bad instead of a generic linear-algebra failure.
 
 The chi-square tail is only ever needed for integer degrees of freedom
 (p+1 for the full test, the subset size for the subvector test), where it
@@ -25,54 +25,54 @@ MAX_DIM = 64
 PIVOT_RTOL = 1e-12
 
 
-def invert(m):
-    """Invert a square matrix by Gauss-Jordan elimination with partial pivoting.
+def invert_batch(m):
+    """Gauss-Jordan elimination with partial pivoting on each matrix of a
+    stack (R, d, d) of finite matrices, d at most ``MAX_DIM``.
 
-    Parameters
-    ----------
-    m : array_like
-        Square matrix with finite entries, dimension at most ``MAX_DIM``.
-
-    Returns
-    -------
-    ndarray
-        The inverse of ``m``.
-
-    Raises
-    ------
-    SingularMatrixError
-        If any pivot magnitude falls below ``PIVOT_RTOL`` times the largest
-        absolute entry of the input. The error carries the pivot index.
+    Returns the inverses and per matrix the index of its first pivot at or
+    below ``PIVOT_RTOL`` times its largest absolute entry, -1 if none (its
+    inverse is then the identity). Matrices this small are swept fastest on
+    Python floats, which take the same IEEE steps as numpy's, one at a time.
     """
-    a = np.array(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    n = a.shape[1]
     if n == 0 or n > MAX_DIM:
         raise ValueError(f"matrix dimension {n} outside supported range 1..{MAX_DIM}")
-    if not np.all(np.isfinite(a)):
+    scales = np.abs(a).max(axis=(1, 2))  # NaN or inf if an entry is
+    if not np.isfinite(scales).all():
         raise ValueError("matrix entries must be finite")
+    eye = np.eye(n).tolist()
+    inverses, pivots = [], []
+    for rows, threshold in zip(a.tolist(), (PIVOT_RTOL * scales).tolist()):
+        aug = [row + unit for row, unit in zip(rows, eye)]  # a row of [a | I]
+        pivots.append(-1)
+        for col in range(n):
+            if col < n - 1:
+                column = [abs(row[col]) for row in aug[col:]]
+                pivot_row = col + column.index(max(column))  # the first largest
+                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            pivot = aug[col][col]
+            if abs(pivot) <= threshold:
+                pivots[-1] = col
+                break
+            top = aug[col] = [x / pivot for x in aug[col]]
+            for r, row in enumerate(aug):
+                factor = row[col]
+                if r != col and factor != 0.0:
+                    aug[r] = [x - factor * y for x, y in zip(row, top)]
+        inverses.append(eye if pivots[-1] >= 0 else [row[n:] for row in aug])
+    return np.array(inverses).reshape(a.shape), np.array(pivots, dtype=np.int64)
 
-    scale = np.max(np.abs(a))
-    threshold = PIVOT_RTOL * scale
-    inv = np.eye(n)
 
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= threshold:
-            raise SingularMatrixError(col)
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            inv[[col, pivot_row]] = inv[[pivot_row, col]]
-        a[col] /= pivot
-        inv[col] /= pivot
-        for row in range(n):
-            if row != col and a[row, col] != 0.0:
-                factor = a[row, col]
-                a[row] -= factor * a[col]
-                inv[row] -= factor * inv[col]
-    return inv
+def invert(m):
+    """Invert one square matrix: ``invert_batch`` on a stack of one, raising
+    ``SingularMatrixError`` with the index of the first bad pivot."""
+    inv, pivots = invert_batch(np.asarray(m, dtype=np.float64)[None])
+    if pivots[0] >= 0:
+        raise SingularMatrixError(int(pivots[0]))
+    return inv[0]
 
 
 def chi_square_survival(x, df):

@@ -249,7 +249,17 @@ def read_series(path):
 
 def write_series(path, series):
     """Write a count series as single-column CSV with header ``count``, one
-    write of the bytes ``csv.writer`` would give (CRLF line ends)."""
-    text = "\r\n".join(["count", *map(str, map(int, np.asarray(series).tolist())), ""])
+    write of the bytes ``csv.writer`` would give (CRLF line ends). A value
+    ``read_series`` would refuse (whole floats pass) raises ``InputError``
+    naming its index before the file is opened."""
+    values = np.asarray(series)
+    counts = values.tolist()
+    integers = values.ndim == 1 and values.dtype.kind in "iu"
+    if not (integers and (values.size == 0 or 0 <= values.min() <= values.max() <= _INT64_MAX)):
+        counts = [int(v) if isinstance(v, float) and v.is_integer() else v for v in counts]
+        for index, value in enumerate(counts):
+            if type(value) is not int or not 0 <= value <= _INT64_MAX:
+                raise InputError(f"{path}: value {value!r} at index {index} is not a count in 0..2**63 - 1")
+    text = "\r\n".join(["count", *map(str, counts), ""])
     with open(path, "w", newline="") as fh:
         fh.write(text)

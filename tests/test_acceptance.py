@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from conftest import record_criterion
-from ginar.cls import assemble_V_cls, assemble_V_general, build_regressors, fit_cls
+from ginar.cls import assemble_V_cls, build_regressors, fit_cls
 from ginar.dispersion_test import NullSpec, run_subvector_test, run_test
 from ginar.distributions import (
     BerG,
@@ -28,6 +28,7 @@ from ginar.distributions import (
 from ginar.montecarlo import ExperimentGrid, run_cell, run_size_experiment
 from ginar.numerics import chi_square_quantile, chi_square_survival, invert
 from ginar.simulate import GinarModel, SimConfig, sample_path, simulate
+from oracles import assemble_V_general
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -6,7 +6,6 @@ from scipy.optimize import minimize
 from ginar.cls import (
     CLSFit,
     assemble_V_cls,
-    assemble_V_general,
     build_regressors,
     estimate_moment_matrices,
     fit_cls,
@@ -16,6 +15,7 @@ from ginar.distributions import Bernoulli, Poisson
 from ginar.errors import EstimationError, InputError
 from ginar.numerics import invert
 from ginar.simulate import GinarModel, SimConfig, simulate
+from oracles import assemble_V_general
 
 
 def simulated_series(n, seed, mu=0.3, rate=1.0, burn_in=1000):

@@ -223,9 +223,10 @@ class TestRunTest:
         assert_decision_rule(sub)
 
     def test_single_pass(self, monkeypatch):
-        # one test builds the regressors once and inverts exactly two
-        # matrices: the Gram matrix (shared by both CLS stages and V) and W
-        calls = {"build_regressors": 0, "invert": 0}
+        # one test, on one series or on a block of 25, builds the regressors
+        # once and makes exactly two batched inversions: the Gram matrices
+        # (shared by both CLS stages and V) and W
+        calls = {"build_regressors": 0, "invert_batch": 0}
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -235,11 +236,13 @@ class TestRunTest:
             return wrapper
 
         monkeypatch.setattr(cls, "build_regressors", counting("build_regressors", cls.build_regressors))
-        wrapped_invert = counting("invert", numerics.invert)
-        for module in (cls, dispersion_test):
-            monkeypatch.setattr(module, "invert", wrapped_invert)
-        run_test(h0_series(500, 75), 1, BERN_POIS_NULL, 0.05)
-        assert calls == {"build_regressors": 1, "invert": 2}
+        wrapped = counting("invert_batch", numerics.invert_batch)
+        for module in (numerics, cls, dispersion_test):
+            monkeypatch.setattr(module, "invert_batch", wrapped)
+        for series in (h0_series(500, 75), np.stack([h0_series(500, 75 + r) for r in range(25)])):
+            calls.update(build_regressors=0, invert_batch=0)
+            run_test(series, 1, BERN_POIS_NULL, 0.05)
+            assert calls == {"build_regressors": 1, "invert_batch": 2}
 
     def test_detects_overdispersed_thinning(self):
         result = run_test(alt_series(2000, 73), 1, BERN_POIS_NULL, 0.05)
@@ -329,3 +332,88 @@ class TestReport:
         report = format_test_report(result)
         for token in ("statistic", "df", "p_value", "reject", "level", "discrepancy", "warnings"):
             assert token in report
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestBlock:
+    """A block (R, n) runs every stage once over its rows; each row gets the
+    numbers of its series tested alone, and failures become outcome codes."""
+
+    def block(self, rows, n=300, seed=500):
+        return np.stack([alt_series(n, seed + r) if r % 3 == 0 else h0_series(n, seed + r) for r in range(rows)])
+
+    def test_rows_bitwise_independent_of_block_size(self):
+        series = self.block(64)
+        for indices in ((1, 2), (1,), (2,)):
+            whole = run_subvector_test(series, 1, BERN_POIS_NULL, indices, 0.05)
+            for size in (1, 7, 25):
+                for start in range(0, 64, size):
+                    part = run_subvector_test(series[start : start + size], 1, BERN_POIS_NULL, indices, 0.05)
+                    rows = slice(start, start + size)
+                    assert np.array_equal(bits(part.statistics), bits(whole.statistics[rows]))
+                    assert np.array_equal(bits(part.p_values), bits(whole.p_values[rows]))
+                    assert np.array_equal(part.outcomes, whole.outcomes[rows])
+
+    def test_rows_match_the_single_series_test(self):
+        series = self.block(12)
+        result = run_test(series, 1, BERN_POIS_NULL, 0.05)
+        assert result.df == 2 and result.indices == (1, 2)
+        for row, outcome, statistic, p_value in zip(series, result.outcomes, result.statistics, result.p_values):
+            alone = run_test(row, 1, BERN_POIS_NULL, 0.05)
+            assert statistic == alone.statistic and p_value == alone.p_value
+            assert outcome == (dispersion_test.REJECT if alone.reject else dispersion_test.KEEP)
+        assert np.count_nonzero(result.outcomes == dispersion_test.REJECT) > 0
+
+    def test_order_two_block(self):
+        model = GinarModel(counting=(Bernoulli(0.3), Bernoulli(0.2)), innovation=Poisson(1.0))
+        series = np.stack([simulate(model, SimConfig(n=400, burn_in=100, seed=s)) for s in range(5)])
+        null = NullSpec((BernoulliKappa(), BernoulliKappa(), PoissonKappa()))
+        result = run_subvector_test(series, 2, null, (1, 3), 0.05)
+        for row, statistic in zip(series, result.statistics):
+            assert statistic == run_subvector_test(row, 2, null, (1, 3), 0.05).statistic
+
+    def test_constant_row_fails_alone(self):
+        series = self.block(5, n=200)
+        series[2] = 3
+        result = run_test(series, 1, BERN_POIS_NULL, 0.05)
+        assert result.outcomes[2] == dispersion_test.SINGULAR_GRAM
+        assert np.isnan(result.statistics[2]) and np.isnan(result.p_values[2])
+        others = np.delete(np.arange(5), 2)
+        assert np.all(result.outcomes[others] <= dispersion_test.NEGATIVE)
+        assert np.all(np.isfinite(result.statistics[others]))
+        with pytest.raises(errors.EstimationError, match="pivot 1"):
+            run_test(series[2], 1, BERN_POIS_NULL, 0.05)
+
+    def test_negative_statistic_row(self):
+        # the short series of test_negative_statistic_keeps_null_with_warning
+        model = GinarModel(counting=(Bernoulli(0.8),), innovation=Poisson(1.0))
+        negative = simulate(model, SimConfig(n=50, burn_in=1000, seed=9))
+        result = run_test(np.stack([h0_series(50, 11), negative]), 1, BERN_POIS_NULL, 0.05)
+        assert result.outcomes[1] == dispersion_test.NEGATIVE
+        assert result.statistics[1] < 0.0 and result.p_values[1] == 1.0
+
+    def test_test_errors_become_codes(self):
+        series = self.block(3)
+        # kappa'(mu) = 2 mu / r + 1 is about 1e300, so W_hat overflows on every row
+        overflow = run_test(series, 1, parse_null("negbinomial(r=1e-300),poisson"), 0.05)
+        assert np.all(overflow.outcomes == dispersion_test.NONFINITE)
+        singular = np.stack([[0, 1] * 10, h0_series(20, 3)])
+        result = run_test(singular, 1, BERN_POIS_NULL, 0.05)
+        assert result.outcomes[0] == dispersion_test.SINGULAR_W
+        with pytest.raises(errors.TestError, match="singular"):
+            run_test(singular[0], 1, BERN_POIS_NULL, 0.05)
+
+    def test_block_result_exposes_no_scalar_fields(self):
+        # tools that read a TestResult's reject/statistic/warnings must not
+        # mistake a block's arrays for them
+        result = run_test(self.block(3), 1, BERN_POIS_NULL, 0.05)
+        for name in ("reject", "statistic", "warnings"):
+            assert not hasattr(result, name)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3, 4)), np.zeros((0, 10)), [[1, 2, -3, 4]]])
+    def test_bad_block_is_input_error(self, bad):
+        with pytest.raises(InputError):
+            run_test(np.asarray(bad), 1, BERN_POIS_NULL, 0.05)

@@ -45,6 +45,12 @@ INVALID = {
     "run_cell_seed_1.5": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=1.5, jobs=1),
     # the INAR(1) fit needs n - 1 >= 3 rows, so at n = 3 every replication would fail
     "run_cell_n_3": lambda: run_cell(0.3, 0.0, 3, 5, 10, 0.05, cell_seed=19, jobs=1),
+    # a bool is not a count: True would pass as 1
+    "run_cell_jobs_True": lambda: run_cell(0.3, 0.0, 100, 2, 10, 0.05, cell_seed=31, jobs=True),
+    "SimConfig_n_True": lambda: SimConfig(n=True),
+    "ExperimentGrid_replications_True": lambda: ExperimentGrid(
+        pi_values=(0.3,), xi_values=(0.0,), n_values=(100,), replications=True
+    ),
     "run_power_experiment": lambda: run_power_experiment(NULL_GRID, jobs=1),
     "build_regressors": lambda: build_regressors([1, -2, 3], 1),
 }

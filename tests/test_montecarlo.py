@@ -76,6 +76,17 @@ class TestRunCell:
         parallel = run_cell(0.2, 0.1, 150, 30, 100, 0.05, cell_seed=17, jobs=2)
         assert serial == parallel
 
+    def test_blocks_and_workers_do_not_change_result(self):
+        # 130 replications run as 17 blocks of 7 or 8 at jobs 1 and as 18 at
+        # jobs 2 and 3; each agrees with replicate_once, the oracle.
+        # Series of 6 give rejections, keeps and failures alike.
+        model, null = montecarlo._cell_model_and_null(0.3, 0.0)
+        outcomes = [replicate_once(model, null, 6, 20, 0.05, 47, k) for k in range(130)]
+        assert all(outcomes.count(kind) > 10 for kind in (True, False, None))
+        expected = (outcomes.count(True), outcomes.count(None))
+        for jobs in (1, 2, 3):
+            assert run_cell(0.3, 0.0, 6, 130, 20, 0.05, cell_seed=47, jobs=jobs) == expected
+
     def test_tiny_series_counts_failures(self):
         # n=4 leaves three regression rows, the p+2 minimum, so most
         # replications hit a singular matrix; each is reported, not dropped

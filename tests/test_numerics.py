@@ -6,7 +6,54 @@ from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
 from ginar.errors import SingularMatrixError
-from ginar.numerics import chi_square_quantile, chi_square_survival, invert
+from ginar.numerics import PIVOT_RTOL, chi_square_quantile, chi_square_survival, invert, invert_batch
+
+
+def gauss_jordan_oracle(m):
+    """The one-matrix Gauss-Jordan sweep that ``invert_batch`` stacks: the
+    inverse, or the index of the first pivot below the relative threshold."""
+    a = np.array(m, dtype=np.float64)
+    n = a.shape[0]
+    threshold = PIVOT_RTOL * np.max(np.abs(a))
+    inv = np.eye(n)
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        pivot = a[pivot_row, col]
+        if abs(pivot) <= threshold:
+            return col
+        if pivot_row != col:
+            a[[col, pivot_row]] = a[[pivot_row, col]]
+            inv[[col, pivot_row]] = inv[[pivot_row, col]]
+        a[col] /= pivot
+        inv[col] /= pivot
+        for row in range(n):
+            if row != col and a[row, col] != 0.0:
+                factor = a[row, col]
+                a[row] -= factor * a[col]
+                inv[row] -= factor * inv[col]
+    return inv
+
+
+def oracle_stack(rng, d, size=60):
+    """Random, 1e6-scaled, rank-deficient, sparse and small-integer d x d
+    matrices; the small-integer ones tie in pivot magnitude, where the first
+    largest must win."""
+    mats = []
+    for k in range(size):
+        a = rng.normal(size=(d, d))
+        kind = k % 5
+        if kind == 1:
+            a *= 1e6
+        elif kind == 2 and d > 1:
+            rank = int(rng.integers(1, d))
+            a = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, d))
+        elif kind == 3:
+            a[rng.random(size=(d, d)) < 0.4] = 0.0  # zero factors and -0.0 entries
+            a[rng.random(size=(d, d)) < 0.1] = -0.0
+        elif kind == 4:
+            a = rng.integers(-2, 3, size=(d, d)).astype(np.float64)
+        mats.append(a)
+    return np.array(mats)
 
 
 class TestInvert:
@@ -59,6 +106,50 @@ class TestInvert:
     def test_dimension_bound(self):
         with pytest.raises(ValueError):
             invert(np.eye(65))
+
+
+class TestInvertBatch:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bitwise_equal_to_one_matrix_sweep(self, d):
+        # same inverse bits (signs of zeros included) and same first bad pivot
+        stack = oracle_stack(np.random.default_rng(100 + d), d)
+        inverses, pivots = invert_batch(stack)
+        singular = 0
+        for a, inv, pivot in zip(stack, inverses, pivots):
+            expected = gauss_jordan_oracle(a)
+            if isinstance(expected, int):
+                singular += 1
+                assert pivot == expected
+            else:
+                assert pivot == -1
+                assert np.array_equal(inv.view(np.int64), expected.view(np.int64))
+        assert d == 1 or singular > 0
+
+    def test_rows_do_not_depend_on_the_stack(self):
+        stack = oracle_stack(np.random.default_rng(7), 3, size=40)
+        inverses, pivots = invert_batch(stack)
+        for k in (0, 13, 39):
+            alone, pivot = invert_batch(stack[k : k + 1])
+            assert pivot[0] == pivots[k]
+            assert np.array_equal(alone[0].view(np.int64), inverses[k].view(np.int64))
+
+    def test_singular_rows_are_flagged_not_raised(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2)), np.diag([2.0, 4.0])])
+        inverses, pivots = invert_batch(stack)
+        assert pivots.tolist() == [-1, 1, 0, -1]
+        assert np.all(np.isfinite(inverses))
+        assert_allclose(inverses[3], np.diag([0.5, 0.25]))
+
+    def test_invert_is_the_stack_of_one(self):
+        a = np.array([[4.0, 1.0], [2.0, 3.0]])
+        assert np.array_equal(invert(a), invert_batch(a[None])[0][0])
+
+    @pytest.mark.parametrize(
+        "bad", [np.eye(2), np.ones((2, 2, 3)), np.full((1, 2, 2), np.inf), np.ones((1, 65, 65))]
+    )
+    def test_invalid_stacks(self, bad):
+        with pytest.raises(ValueError):
+            invert_batch(bad)
 
 
 class TestChiSquareSurvival:

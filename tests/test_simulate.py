@@ -357,6 +357,29 @@ class TestSeriesCsv:
         write_series(path, np.array([], dtype=np.int64))
         assert path.read_bytes() == b"count\r\n"
 
+    @pytest.mark.parametrize(
+        "series,index",
+        [([1.7, -2, 3], 0), ([4, -2, 3], 1), ([0, 2**63], 1), ([1, np.nan], 1), ([True, False], 0)],
+        ids=["fraction", "negative", "beyond-int64", "nan", "bool"],
+    )
+    def test_write_refuses_non_counts_before_opening(self, tmp_path, series, index):
+        # the refusal names the index and leaves an existing target as it was
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"count\r\n7\r\n")
+        with pytest.raises(InputError, match=f"index {index}"):
+            write_series(path, series)
+        assert path.read_bytes() == b"count\r\n7\r\n"
+        with pytest.raises(InputError):
+            write_series(tmp_path / "new.csv", series)
+        assert not (tmp_path / "new.csv").exists()
+
+    def test_write_accepts_whole_floats_and_the_int64_limit(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series(path, [3.0, 0.0, 12.0])
+        assert path.read_bytes() == b"count\r\n3\r\n0\r\n12\r\n"
+        write_series(path, np.array([2**63 - 1], dtype=np.uint64))
+        assert_array_equal(read_series(path), np.array([2**63 - 1]))
+
     def test_header_optional(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("3\n0\n5\n")
