@@ -17,7 +17,7 @@ from ginar import (
     fit_cls,
     simulate,
 )
-from ginar.cls import format_fit_report
+from ginar.cli import format_report
 
 TRUTH = {"mu_1": 0.3, "mu_eps": 1.0, "sigma2_1": 0.21, "sigma2_eps": 1.0}
 
@@ -37,7 +37,7 @@ def main():
     print()
     series = simulate(model, SimConfig(n=5000, burn_in=1000, seed=6))
     fit = fit_cls(series, 1)
-    print(format_fit_report(fit))
+    print(format_report(fit))
 
     moments = estimate_moment_matrices(fit)
     se = np.sqrt(np.diag(moments.v) / fit.n_eff)

@@ -21,7 +21,7 @@ from ginar import (
     run_test,
     simulate,
 )
-from ginar.dispersion_test import format_test_report
+from ginar.cli import format_report
 
 NULL = NullSpec((BernoulliKappa(), PoissonKappa()))
 
@@ -32,14 +32,14 @@ def main():
 
     print("=== data generated under the null (Bernoulli thinning) ===")
     result = run_test(h0_series, 1, NULL, level=0.05)
-    print(format_test_report(result))
+    print(format_report(result))
 
     print()
     print("=== data generated under a BerG(0.2, 0.3) alternative ===")
     alt_model = GinarModel(counting=(BerG(0.2, 0.3),), innovation=Poisson(1.0))
     alt_series = simulate(alt_model, SimConfig(n=2000, burn_in=1000, seed=21))
     result = run_test(alt_series, 1, NULL, level=0.05)
-    print(format_test_report(result))
+    print(format_report(result))
     print()
     print(
         "  the negative first discrepancy component says the estimated thinning"
@@ -50,7 +50,7 @@ def main():
     print()
     print("=== thinning-only subvector variant on the same alternative ===")
     sub = run_subvector_test(alt_series, 1, NULL, indices=(1,), level=0.05)
-    print(format_test_report(sub))
+    print(format_report(sub))
     print()
     print(
         "  restricting to component 1 asks only whether the *operator* is"

@@ -1,5 +1,8 @@
 """Command line front end: simulate, fit, test, mc-size, mc-power.
 
+``format_report`` prints the fit and test reports, text or JSON, from one
+field list per result type in ``_REPORTS``: a new field is one name there.
+
 Exit statuses: 0 success (including a statistical rejection, which is an
 outcome, not a failure), 2 for an ``InputError`` (malformed or out-of-range
 input) or an ``OSError`` (unreadable or unwritable file), 3 for a
@@ -12,8 +15,10 @@ import functools
 import json
 import sys
 
-from .cls import fit_cls, format_fit_report
-from .dispersion_test import format_test_report, parse_null, run_subvector_test, run_test
+import numpy as np
+
+from .cls import CLSFit, fit_cls
+from .dispersion_test import TestResult, parse_null, run_subvector_test, run_test
 from .distributions import parse_distribution
 from .errors import InputError, NumericalError
 from .montecarlo import (
@@ -28,6 +33,14 @@ from .simulate import GinarModel, SimConfig, read_series, simulate, write_series
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+_REPORTS = {
+    CLSFit: ("conditional least squares fit", ("n_eff", "mu_hat", "theta_hat")),
+    TestResult: (
+        "mean-variance relationship test",
+        ("statistic", "df", "p_value", "reject", "level", "indices", "discrepancy"),
+    ),
+}
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -99,32 +112,26 @@ def _parse_subset(text):
         raise InputError(f"bad subset {text!r}: expected comma-separated integers") from None
 
 
-def _fit_json(fit):
-    return json.dumps(
-        {
-            "n_eff": fit.n_eff,
-            "mu_hat": [float(x) for x in fit.mu_hat],
-            "theta_hat": [float(x) for x in fit.theta_hat],
-            "warnings": list(fit.warnings),
-        },
-        indent=2,
-    )
+def _text(value):
+    if isinstance(value, list):
+        return ("," if all(isinstance(v, int) for v in value) else "  ").join(map(_text, value))
+    return f"{value:.6g}" if isinstance(value, float) else json.dumps(value)  # ints; bools as true/false
 
 
-def _test_json(result):
-    return json.dumps(
-        {
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-            "reject": result.reject,
-            "level": result.level,
-            "indices": list(result.indices),
-            "discrepancy": [float(x) for x in result.discrepancy],
-            "warnings": list(result.warnings),
-        },
-        indent=2,
-    )
+def format_report(result, form="text"):
+    """Report of one series' ``CLSFit`` or ``TestResult``: a title and one field a line (floats ``.6g``, int
+    lists joined by ``,``, float lists by two spaces) or, for ``form="json"``, one JSON object; both end
+    with the warnings."""
+    if type(result) not in _REPORTS or getattr(result, "gram_pivots", None) is not None:
+        raise TypeError("format_report takes one series' CLSFit or TestResult; a block result has no report")
+    title, names = _REPORTS[type(result)]
+    fields = {name: np.asarray(getattr(result, name)).tolist() for name in names}
+    fields["warnings"] = list(result.warnings)
+    if form == "json":
+        return json.dumps(fields, indent=2)
+    lines = [title, *(f"  {name}: {_text(fields[name])}" for name in names)]
+    warnings = [f"    - {w}" for w in fields["warnings"]]
+    return "\n".join(lines + (["  warnings:", *warnings] if warnings else ["  warnings: none"]))
 
 
 def _cmd_simulate(args):
@@ -142,7 +149,7 @@ def _cmd_simulate(args):
 def _cmd_fit(args):
     series = read_series(args.input)
     fit = fit_cls(series, args.order)
-    print(_fit_json(fit) if args.format == "json" else format_fit_report(fit))
+    print(format_report(fit, args.format))
     return EXIT_OK
 
 
@@ -153,7 +160,7 @@ def _cmd_test(args):
         result = run_test(series, args.order, null, level=args.level)
     else:
         result = run_subvector_test(series, args.order, null, _parse_subset(args.subset), args.level)
-    print(_test_json(result) if args.format == "json" else format_test_report(result))
+    print(format_report(result, args.format))
     return EXIT_OK
 
 

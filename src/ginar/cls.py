@@ -38,7 +38,6 @@ __all__ = [
     "fit_cls",
     "estimate_moment_matrices",
     "assemble_V_cls",
-    "format_fit_report",
 ]
 
 
@@ -184,22 +183,3 @@ def assemble_V_cls(jm_inv, im, imv, iv):
     """
     return tuple(jm_inv @ m @ jm_inv for m in (im, imv, iv))
 
-
-def _format_vector(vec):
-    return "  ".join(f"{x:.6g}" for x in vec)
-
-
-def format_fit_report(fit):
-    """Structured text report for a CLSFit."""
-    lines = [
-        "conditional least squares fit",
-        f"  n_eff: {fit.n_eff}",
-        f"  mu_hat: {_format_vector(fit.mu_hat)}",
-        f"  theta_hat: {_format_vector(fit.theta_hat)}",
-    ]
-    if fit.warnings:
-        lines.append("  warnings:")
-        lines.extend(f"    - {w}" for w in fit.warnings)
-    else:
-        lines.append("  warnings: none")
-    return "\n".join(lines)

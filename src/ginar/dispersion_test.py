@@ -43,7 +43,6 @@ __all__ = [
     "run_test",
     "run_subvector_test",
     "parse_null",
-    "format_test_report",
 ]
 
 
@@ -262,22 +261,3 @@ def run_subvector_test(series, p, null, indices, level=0.05):
     """
     return _run(series, p, null, indices, level)
 
-
-def format_test_report(result):
-    """Structured text report for a TestResult."""
-    lines = [
-        "mean-variance relationship test",
-        f"  statistic: {result.statistic:.6g}",
-        f"  df: {result.df}",
-        f"  p_value: {result.p_value:.6g}",
-        f"  reject: {'true' if result.reject else 'false'}",
-        f"  level: {result.level:g}",
-        f"  indices: {','.join(str(i) for i in result.indices)}",
-        f"  discrepancy: {'  '.join(f'{x:.6g}' for x in result.discrepancy)}",
-    ]
-    if result.warnings:
-        lines.append("  warnings:")
-        lines.extend(f"    - {w}" for w in result.warnings)
-    else:
-        lines.append("  warnings: none")
-    return "\n".join(lines)

@@ -142,8 +142,8 @@ def sample_path(model, n, burn_in, rng):
     these, in (step, lag) order. The path may take at most ``burn_in + n``
     table entries; the rows themselves are shared by every path.
     """
-    if n < 1 or burn_in < 0:
-        raise InputError(f"sample_path needs n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
+    require_int("series length", n, 1)
+    require_int("burn-in", burn_in, 0)
     p = model.order
     steps = burn_in + n
     if steps * p > _INT64_MAX:
@@ -248,14 +248,14 @@ def read_series(path):
 
 
 def write_series(path, series):
-    """Write a count series as single-column CSV with header ``count``, one
-    write of the bytes ``csv.writer`` would give (CRLF line ends). A value
-    ``read_series`` would refuse (whole floats pass) raises ``InputError``
-    naming its index before the file is opened."""
+    """Write a count series as single-column CSV with header ``count``, one write of the bytes
+    ``csv.writer`` would give (CRLF line ends). A series ``read_series`` would refuse (empty, not 1-D,
+    or a value not a count, named by index; whole floats pass) raises ``InputError`` before opening."""
     values = np.asarray(series)
+    if values.ndim != 1 or values.size == 0:
+        raise InputError(f"{path}: expected a nonempty one-dimensional series, got shape {values.shape}")
     counts = values.tolist()
-    integers = values.ndim == 1 and values.dtype.kind in "iu"
-    if not (integers and (values.size == 0 or 0 <= values.min() <= values.max() <= _INT64_MAX)):
+    if not (values.dtype.kind in "iu" and 0 <= values.min() <= values.max() <= _INT64_MAX):
         counts = [int(v) if isinstance(v, float) and v.is_integer() else v for v in counts]
         for index, value in enumerate(counts):
             if type(value) is not int or not 0 <= value <= _INT64_MAX:

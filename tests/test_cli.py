@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -344,3 +345,269 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("fit", "--order", "1")
         assert excinfo.value.code == 2
+
+
+# Short series whose reports the golden bank below pins: "p1" and "p2" fit
+# cleanly, "warn" carries fit and kappa warnings, "const" is singular.
+GOLDEN_SERIES = {
+    "p1": [1, 2, 1, 1, 2, 2, 2, 4, 5, 5, 1, 2, 1, 4, 3, 4, 3, 1, 1, 0, 1, 3, 6, 4, 6, 3, 3, 3, 2, 2, 0, 4, 2, 4, 5, 2, 2, 2, 2, 2],
+    "p2": [2, 4, 2, 5, 1, 1, 4, 4, 3, 1, 1, 0, 0, 0, 0, 1, 0, 2, 2, 1, 2, 1, 1, 0, 1, 2, 1, 3, 2, 0, 1, 1, 1, 0, 1, 1, 1, 0, 2, 2],
+    "warn": [1, 2, 0, 2, 1, 2, 0, 3, 2, 2, 2, 0, 0, 1, 1, 0, 1, 0, 0, 1],
+    "const": [3] * 12,
+}
+
+GOLDEN = [
+    pytest.param(
+        "p1",
+        ["fit", "--order", "1"],
+        0,
+        """\
+conditional least squares fit
+  n_eff: 39
+  mu_hat: 0.370163  1.65676
+  theta_hat: 0.175931  1.51111
+  warnings: none
+""",
+        "",
+        id="fit-text",
+    ),
+    pytest.param(
+        "p1",
+        ["fit", "--order", "1", "--format", "json"],
+        0,
+        """\
+{
+  "n_eff": 39,
+  "mu_hat": [
+    0.370162647223781,
+    1.6567582725743106
+  ],
+  "theta_hat": [
+    0.175930673777945,
+    1.5111074172605425
+  ],
+  "warnings": []
+}
+""",
+        "",
+        id="fit-json",
+    ),
+    pytest.param(
+        "p1",
+        ["test", "--order", "1", "--null", "bernoulli,poisson"],
+        0,
+        """\
+mean-variance relationship test
+  statistic: 0.437109
+  df: 2
+  p_value: 0.80368
+  reject: false
+  level: 0.05
+  indices: 1,2
+  discrepancy: 0.0572116  0.145651
+  warnings: none
+""",
+        "",
+        id="test-text",
+    ),
+    pytest.param(
+        "p1",
+        ["test", "--order", "1", "--null", "bernoulli,poisson", "--format", "json"],
+        0,
+        """\
+{
+  "statistic": 0.4371090035323499,
+  "df": 2,
+  "p_value": 0.8036796762891956,
+  "reject": false,
+  "level": 0.05,
+  "indices": [
+    1,
+    2
+  ],
+  "discrepancy": [
+    0.05721158804611867,
+    0.1456508553137681
+  ],
+  "warnings": []
+}
+""",
+        "",
+        id="test-json",
+    ),
+    pytest.param(
+        "p1",
+        ["test", "--order", "1", "--null", "poisson,poisson", "--subset", "1", "--level", "0.5"],
+        0,
+        """\
+mean-variance relationship test
+  statistic: 0.649722
+  df: 1
+  p_value: 0.420212
+  reject: true
+  level: 0.5
+  indices: 1
+  discrepancy: 0.194232
+  warnings: none
+""",
+        "",
+        id="subset-level",
+    ),
+    pytest.param(
+        "p2",
+        ["fit", "--order", "2"],
+        0,
+        """\
+conditional least squares fit
+  n_eff: 38
+  mu_hat: 0.291796  0.13795  0.742722
+  theta_hat: 0.115567  0.390049  0.516171
+  warnings: none
+""",
+        "",
+        id="p2-fit",
+    ),
+    pytest.param(
+        "p2",
+        ["test", "--order", "2", "--null", "bernoulli,bernoulli,poisson", "--subset", "1,3"],
+        0,
+        """\
+mean-variance relationship test
+  statistic: 1.24476
+  df: 2
+  p_value: 0.536667
+  reject: false
+  level: 0.05
+  indices: 1,3
+  discrepancy: 0.091084  0.22655
+  warnings: none
+""",
+        "",
+        id="p2-subset",
+    ),
+    pytest.param(
+        "p2",
+        ["test", "--order", "2", "--null", "bernoulli,bernoulli,poisson", "--format", "json"],
+        0,
+        """\
+{
+  "statistic": 1.2984362918461927,
+  "df": 3,
+  "p_value": 0.729504427749529,
+  "reject": false,
+  "level": 0.05,
+  "indices": [
+    1,
+    2,
+    3
+  ],
+  "discrepancy": [
+    0.09108396439631125,
+    -0.2711292819410454,
+    0.22655013423921921
+  ],
+  "warnings": []
+}
+""",
+        "",
+        id="p2-json",
+    ),
+    pytest.param(
+        "warn",
+        ["fit", "--order", "1"],
+        0,
+        """\
+conditional least squares fit
+  n_eff: 19
+  mu_hat: -0.00310559  1.0559
+  theta_hat: -0.0513256  0.945985
+  warnings:
+    - estimated thinning means fall outside the stationarity region (mu_hat[:p] = [-0.003106])
+    - variance estimate for lag 1 is negative (-0.0513256)
+""",
+        "",
+        id="warnings-fit",
+    ),
+    pytest.param(
+        "warn",
+        ["test", "--order", "1", "--null", "bernoulli,poisson"],
+        0,
+        """\
+mean-variance relationship test
+  statistic: 0.482536
+  df: 2
+  p_value: 0.785631
+  reject: false
+  level: 0.05
+  indices: 1,2
+  discrepancy: 0.0482103  0.109916
+  warnings:
+    - estimated thinning means fall outside the stationarity region (mu_hat[:p] = [-0.003106])
+    - variance estimate for lag 1 is negative (-0.0513256)
+    - estimated mean -0.00310559 at position 1 is outside the admissible range (0, 1) of the bernoulli kappa family; formulas evaluated by smooth extension
+""",
+        "",
+        id="warnings-test",
+    ),
+    pytest.param(
+        "warn",
+        ["test", "--order", "1", "--null", "bernoulli,poisson", "--format", "json"],
+        0,
+        """\
+{
+  "statistic": 0.48253648069862526,
+  "df": 2,
+  "p_value": 0.7856308602252371,
+  "reject": false,
+  "level": 0.05,
+  "indices": [
+    1,
+    2
+  ],
+  "discrepancy": [
+    0.04821032899534003,
+    0.10991555565033795
+  ],
+  "warnings": [
+    "estimated thinning means fall outside the stationarity region (mu_hat[:p] = [-0.003106])",
+    "variance estimate for lag 1 is negative (-0.0513256)",
+    "estimated mean -0.00310559 at position 1 is outside the admissible range (0, 1) of the bernoulli kappa family; formulas evaluated by smooth extension"
+  ]
+}
+""",
+        "",
+        id="warnings-json",
+    ),
+    pytest.param(
+        "const",
+        ["test", "--order", "1", "--null", "bernoulli,poisson"],
+        3,
+        "",
+        """\
+numerical error: singular Gram matrix: regressor columns are linearly dependent (pivot 1); a constant series is the typical cause
+""",
+        id="exit-3",
+    ),
+]
+
+_DECIMAL = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+
+
+def to_12_digits(text):
+    """The text with each decimal number rounded to 12 significant digits."""
+    return _DECIMAL.sub(lambda m: f"{float(m.group()):.12g}", text)
+
+
+@pytest.mark.parametrize("name,argv,code,out,err", GOLDEN)
+def test_golden_reports(tmp_path, capsys, name, argv, code, out, err):
+    # Exit code, stdout and stderr byte for byte, except that JSON prints
+    # each float's every digit and the last ones may move with the BLAS
+    # kernel: rounding to 12 digits leaves the text reports (6 digits) exact.
+    path = tmp_path / f"{name}.csv"
+    path.write_text("".join(f"{v}\n" for v in GOLDEN_SERIES[name]))
+    assert run_cli(argv[0], "--input", str(path), *argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert to_12_digits(captured.out) == to_12_digits(out)
+    if "--format" in argv:
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"

@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from ginar.cli import format_report
 from ginar.cls import (
     CLSFit,
     assemble_V_cls,
     build_regressors,
     estimate_moment_matrices,
     fit_cls,
-    format_fit_report,
 )
 from ginar.distributions import Bernoulli, Poisson
 from ginar.errors import EstimationError, InputError
@@ -319,6 +319,6 @@ class TestDivisorInvariance:
 class TestReports:
     def test_fit_report_fields(self):
         fit = fit_cls(simulated_series(200, 19), 1)
-        report = format_fit_report(fit)
+        report = format_report(fit)
         for token in ("mu_hat", "theta_hat", "n_eff", "warnings"):
             assert token in report

@@ -3,11 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ginar import cls, dispersion_test, errors, numerics
+from ginar.cli import format_report
 from ginar.dispersion_test import (
     NullSpec,
     assemble_W,
     build_K,
-    format_test_report,
     parse_null,
     run_subvector_test,
     run_test,
@@ -329,9 +329,16 @@ class TestSubvector:
 class TestReport:
     def test_report_fields(self):
         result = run_test(h0_series(500, 113), 1, BERN_POIS_NULL, 0.05)
-        report = format_test_report(result)
+        report = format_report(result)
         for token in ("statistic", "df", "p_value", "reject", "level", "discrepancy", "warnings"):
             assert token in report
+
+    def test_block_results_have_no_report(self):
+        block = np.stack([h0_series(100, seed) for seed in (1, 2, 3)])
+        for result in (cls.fit_cls(block, 1), run_test(block, 1, BERN_POIS_NULL, 0.05)):
+            for form in ("text", "json"):
+                with pytest.raises(TypeError, match="block result"):
+                    format_report(result, form)
 
 
 def bits(values):

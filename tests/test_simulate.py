@@ -107,7 +107,7 @@ class TestModelAndConfig:
             with pytest.raises(InputError):
                 SimConfig(**kwargs)
 
-    @pytest.mark.parametrize("n,burn_in", [(5, -1), (-5, 10), (0, 10)])
+    @pytest.mark.parametrize("n,burn_in", [(5, -1), (-5, 10), (0, 10), (5.5, 10), (True, 10), (10, 2.5)])
     def test_sample_path_bounds(self, n, burn_in):
         with pytest.raises(InputError):
             sample_path(bernoulli_poisson_model(), n, burn_in, np.random.default_rng(1))
@@ -354,8 +354,6 @@ class TestSeriesCsv:
         path = tmp_path / "series.csv"
         write_series(path, np.array([3, 0, 12], dtype=np.int64))
         assert path.read_bytes() == b"count\r\n3\r\n0\r\n12\r\n"
-        write_series(path, np.array([], dtype=np.int64))
-        assert path.read_bytes() == b"count\r\n"
 
     @pytest.mark.parametrize(
         "series,index",
@@ -367,6 +365,20 @@ class TestSeriesCsv:
         path = tmp_path / "series.csv"
         path.write_bytes(b"count\r\n7\r\n")
         with pytest.raises(InputError, match=f"index {index}"):
+            write_series(path, series)
+        assert path.read_bytes() == b"count\r\n7\r\n"
+        with pytest.raises(InputError):
+            write_series(tmp_path / "new.csv", series)
+        assert not (tmp_path / "new.csv").exists()
+
+    @pytest.mark.parametrize(
+        "series", [[], np.array([], dtype=np.int64), 5, [[1, 2], [3, 4]]], ids=["empty", "empty-int64", "scalar", "2-D"]
+    )
+    def test_write_refuses_an_empty_or_not_1d_series_before_opening(self, tmp_path, series):
+        # read_series refuses a header-only file, so the writer makes none
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"count\r\n7\r\n")
+        with pytest.raises(InputError, match="nonempty one-dimensional"):
             write_series(path, series)
         assert path.read_bytes() == b"count\r\n7\r\n"
         with pytest.raises(InputError):
