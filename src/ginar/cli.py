@@ -121,9 +121,11 @@ def _text(value):
 def format_report(result, form="text"):
     """Report of one series' ``CLSFit`` or ``TestResult``: a title and one field a line (floats ``.6g``, int
     lists joined by ``,``, float lists by two spaces) or, for ``form="json"``, one JSON object; both end
-    with the warnings."""
+    with the warnings. Any other ``form`` raises ``ValueError``."""
     if type(result) not in _REPORTS or getattr(result, "gram_pivots", None) is not None:
         raise TypeError("format_report takes one series' CLSFit or TestResult; a block result has no report")
+    if form not in ("text", "json"):
+        raise ValueError(f"report form must be 'text' or 'json', got {form!r}")
     title, names = _REPORTS[type(result)]
     fields = {name: np.asarray(getattr(result, name)).tolist() for name in names}
     fields["warnings"] = list(result.warnings)

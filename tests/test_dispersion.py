@@ -340,6 +340,13 @@ class TestReport:
                 with pytest.raises(TypeError, match="block result"):
                     format_report(result, form)
 
+    @pytest.mark.parametrize("form", ["JSON", "yaml"])
+    def test_unknown_form_is_refused(self, form):
+        series = h0_series(100, 1)
+        for result in (cls.fit_cls(series, 1), run_test(series, 1, BERN_POIS_NULL, 0.05)):
+            with pytest.raises(ValueError, match="'text' or 'json'"):
+                format_report(result, form)
+
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)

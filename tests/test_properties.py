@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from ginar.dispersion_test import parse_null
 from ginar.distributions import parse_distribution, parse_kappa
 from ginar.errors import InputError
 from ginar.montecarlo import parse_grid_config
-from ginar.simulate import read_series
+from ginar.simulate import _read_series_csv, read_series
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -144,7 +145,8 @@ def test_parse_grid_config_only_raises_input_error(text):
 SERIES_LINES = [
     "count", "COUNT", "\ufeffcount", "0", "1", "17", "-1", "2.5", "1e3", "1_000", " 4 ", "",
     "1,2", '"3"', '"1', "nan", "inf", "0x10", "\x00", "9223372036854775807",
-    "9223372036854775808", "9" * 5000, "9" * 131_073,
+    "9223372036854775808", "9" * 5000, "9" * 131_073, "\u0663", "\u00b2", "+5", "007",
+    "9" * 18, "1" + "0" * 18, "count\r\n\n\r", "count7",
 ]
 series_line = st.one_of(
     st.sampled_from(SERIES_LINES),
@@ -156,9 +158,20 @@ series_text = st.tuples(
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.sampled_from(["utf-8", "utf-8-sig"]),
 ).map(lambda t: t[1].join(t[0]).encode(t[2]))
+# files of counts and line ends alone after an optional header (the one-step route's form), and
+# near misses in the first line
+count_text = st.tuples(
+    st.sampled_from(["", "count", "\ufeffcount", "\ufeff", "count7", "COUNT", "\ufeff\ufeffcount"]),
+    st.lists(
+        st.one_of(st.integers(0, 10**19).map(str), st.sampled_from(["", "007", "9" * 18, "1" + "0" * 18])),
+        max_size=8,
+    ),
+    st.sampled_from(["\n", "\r\n", "\r", "\n\n"]),
+).map(lambda t: t[2].join([t[0], *t[1]]).encode())
 series_bytes = st.one_of(
     st.binary(max_size=64),
     series_text,
+    count_text,
     st.tuples(series_text, st.binary(max_size=8), series_text).map(b"".join),
 )
 
@@ -175,3 +188,22 @@ def test_read_series_only_raises_input_error(data):
             return
     assert series.ndim == 1 and series.dtype == np.int64
     assert len(series) > 0 and np.all(series >= 0)
+
+
+@DETERMINISTIC
+@given(series_bytes)
+def test_read_series_agrees_with_the_csv_loop(data):
+    # both routes of read_series give the csv loop's array, bit for bit, or its InputError message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(data)
+        try:
+            expected = _read_series_csv(path, data)
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
+                read_series(path)
+            assert str(raised.value) == str(exc)
+            return
+        series = read_series(path)
+    assert series.dtype == expected.dtype == np.int64
+    assert series.shape == expected.shape and series.tobytes() == expected.tobytes()

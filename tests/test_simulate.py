@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -391,6 +392,25 @@ class TestSeriesCsv:
         assert path.read_bytes() == b"count\r\n3\r\n0\r\n12\r\n"
         write_series(path, np.array([2**63 - 1], dtype=np.uint64))
         assert_array_equal(read_series(path), np.array([2**63 - 1]))
+
+    def test_canonical_files_skip_the_csv_loop(self, tmp_path, monkeypatch):
+        # written and plain LF, CR or BOM-headed files take the one-step route; a padded count does not
+        def no_csv(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", no_csv)  # the module ginar.simulate reads with
+        series = simulate(bernoulli_poisson_model(), SimConfig(n=500, seed=5))
+        path = tmp_path / "series.csv"
+        write_series(path, series)
+        assert_array_equal(read_series(path), series)
+        for data in (b"3\n0\n\n5\n", b"3\r0\r5", b"\xef\xbb\xbfcount\n\n3\r\n0\n005\n"):
+            path.write_bytes(data)
+            result = read_series(path)
+            assert result.dtype == np.int64
+            assert_array_equal(result, np.array([3, 0, 5]))
+        path.write_bytes(b"count\n 4 \n2\n")
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            read_series(path)
 
     def test_header_optional(self, tmp_path):
         path = tmp_path / "bare.csv"
