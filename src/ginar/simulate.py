@@ -140,7 +140,8 @@ def sample_path(model, n, burn_in, rng):
     ``t`` (both counted from 0) consumes uniform ``t * p + i`` whether or not
     its count is 0. Fallback draws through ``sample_sum`` come after all of
     these, in (step, lag) order. The path may take at most ``burn_in + n``
-    table entries; the rows themselves are shared by every path.
+    table entries; the rows themselves are shared by every path. Lags 1 and
+    2 ride the step loop's ``zip``; lags 3..p follow them in an inner loop.
     """
     require_int("series length", n, 1)
     require_int("burn-in", burn_in, 0)
@@ -164,28 +165,43 @@ def sample_path(model, n, burn_in, rng):
             budget -= len(row)
         return row
 
-    spec1, rows1 = model.counting[0], {}
-    rest = [(lag, spec, {}, uniforms[lag - 1 :: p].tolist()) for lag, spec in enumerate(model.counting[1:], 2)]
-    x = path[-1]
-    for z, u in zip(eps, uniforms[::p].tolist()):
+    spec1, rows1, x = model.counting[0], {}, path[-1]
+    if p == 1:
+        for z, u in zip(eps, uniforms.tolist()):
+            if x:
+                try:
+                    row = rows1[x]
+                except KeyError:
+                    row = first_sight(spec1, rows1, x)
+                z += spec1.sample_sum(x, rng) if row is None else bisect_right(row, u)
+            path.append(z)
+            x = z
+        return np.array(path[1 + burn_in :], dtype=np.int64)
+    spec2, rows2, x2 = model.counting[1], {}, path[-2]
+    rest = [(lag, spec, {}, uniforms[lag - 1 :: p].tolist()) for lag, spec in enumerate(model.counting[2:], 3)]
+    for z, u, u2 in zip(eps, uniforms[::p].tolist(), uniforms[1::p].tolist()):
         if x:
             try:
                 row = rows1[x]
             except KeyError:
                 row = first_sight(spec1, rows1, x)
             z += spec1.sample_sum(x, rng) if row is None else bisect_right(row, u)
-        if rest:
-            t = len(path) - p
-            for lag, spec, rows, us in rest:
-                count = path[-lag]
-                if count:
-                    try:
-                        row = rows[count]
-                    except KeyError:
-                        row = first_sight(spec, rows, count)
-                    z += spec.sample_sum(count, rng) if row is None else bisect_right(row, us[t])
+        if x2:
+            try:
+                row = rows2[x2]
+            except KeyError:
+                row = first_sight(spec2, rows2, x2)
+            z += spec2.sample_sum(x2, rng) if row is None else bisect_right(row, u2)
+        for lag, spec, rows, us in rest:
+            count = path[-lag]
+            if count:
+                try:
+                    row = rows[count]
+                except KeyError:
+                    row = first_sight(spec, rows, count)
+                z += spec.sample_sum(count, rng) if row is None else bisect_right(row, us[len(path) - p])
         path.append(z)
-        x = z
+        x2, x = x, z
     return np.array(path[p + burn_in :], dtype=np.int64)
 
 
@@ -268,16 +284,30 @@ def _read_series_csv(path, data):
 def write_series(path, series):
     """Write a count series as single-column CSV with header ``count``, one write of the bytes
     ``csv.writer`` would give (CRLF line ends). A series ``read_series`` would refuse (empty, not 1-D,
-    or a value not a count, named by index; whole floats pass) raises ``InputError`` before opening."""
+    or a value not a count, named by index; whole floats pass) raises ``InputError`` before opening.
+    An integer array is formatted in numpy one digit position at a time, other input with ``str``."""
     values = np.asarray(series)
     if values.ndim != 1 or values.size == 0:
         raise InputError(f"{path}: expected a nonempty one-dimensional series, got shape {values.shape}")
-    counts = values.tolist()
-    if not (values.dtype.kind in "iu" and 0 <= values.min() <= values.max() <= _INT64_MAX):
-        counts = [int(v) if isinstance(v, float) and v.is_integer() else v for v in counts]
+    if values.dtype.kind in "iu" and 0 <= values.min() <= values.max() <= _INT64_MAX:
+        # column j of ``lines``: values[j] zero-padded to the widest, CR, LF; ``keep`` drops the padding
+        q = values.astype(np.uint64)
+        width = len(str(q.max()))
+        lines = np.empty((width + 2, q.size), dtype=np.uint8)
+        keep = np.ones(lines.shape, dtype=bool)
+        for digit in reversed(range(width)):
+            keep[digit] = q > 0
+            r = q // 10  # a scalar divisor takes numpy's fast integer division
+            lines[digit] = q - r * 10 + 48
+            q = r
+        keep[width - 1] = True
+        lines[-2:] = ((13,), (10,))
+        data = b"count\r\n" + lines.T[keep.T].tobytes()
+    else:
+        counts = [int(v) if isinstance(v, float) and v.is_integer() else v for v in values.tolist()]
         for index, value in enumerate(counts):
             if type(value) is not int or not 0 <= value <= _INT64_MAX:
                 raise InputError(f"{path}: value {value!r} at index {index} is not a count in 0..2**63 - 1")
-    text = "\r\n".join(["count", *map(str, counts), ""])
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+        data = "\r\n".join(["count", *map(str, counts), ""]).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)

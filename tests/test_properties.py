@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ginar.dispersion_test import parse_null
 from ginar.distributions import parse_distribution, parse_kappa
 from ginar.errors import InputError
 from ginar.montecarlo import parse_grid_config
-from ginar.simulate import _read_series_csv, read_series
+from ginar.simulate import _read_series_csv, read_series, write_series
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -207,3 +207,26 @@ def test_read_series_agrees_with_the_csv_loop(data):
         series = read_series(path)
     assert series.dtype == expected.dtype == np.int64
     assert series.shape == expected.shape and series.tobytes() == expected.tobytes()
+
+
+INT_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
+
+
+@st.composite
+def count_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    top = min(int(np.iinfo(dtype).max), 2**63 - 1)
+    return np.array(draw(st.lists(st.integers(0, top), min_size=1, max_size=20)), dtype=dtype)
+
+
+@DETERMINISTIC
+@given(count_arrays())
+@example(np.array([0, 9, 10, 99, 100, 10**18, 2**63 - 1], dtype=np.int64))
+@example(np.array([0, 9, 10, 99, 100, 10**18, 2**63 - 1], dtype=np.uint64))
+@example(np.array([7], dtype=np.uint8))
+def test_write_series_writes_each_count_as_a_crlf_line(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_series(path, series)
+        assert path.read_bytes() == b"count\r\n" + b"".join(b"%d\r\n" % v for v in series.tolist())
+        assert read_series(path).tolist() == series.tolist()

@@ -295,6 +295,8 @@ GOLDEN_BANK = {
     "zj_innovation": ((Poisson(0.5),), ZJExtended(0.5, 0.3), "d415e495f3b748d8"),
     "p2_same_spec": ((Bernoulli(0.4), Bernoulli(0.4)), Poisson(3.0), "2a45c5e80ac8ffed"),
     "budget": ((Bernoulli(0.5),), Poisson(3.0), "7d9e9385f4c2a640"),
+    # both lags draw through sample_sum at every step, so a loop that reorders lags within a step fails
+    "p2_fallback": ((Poisson(0.3), Poisson(0.4)), Poisson(5000.0), "8f801e73f7eb9eb7"),
 }
 # (n, burn_in): the short paths without burn-in run out of row budget
 GOLDEN_SHAPES = ((1, 0), (5, 0), (40, 0), (200, 50), (500, 1000))
