@@ -122,7 +122,7 @@ def format_report(result, form="text"):
     """Report of one series' ``CLSFit`` or ``TestResult``: a title and one field a line (floats ``.6g``, int
     lists joined by ``,``, float lists by two spaces) or, for ``form="json"``, one JSON object; both end
     with the warnings. Any other ``form`` raises ``ValueError``."""
-    if type(result) not in _REPORTS or getattr(result, "gram_pivots", None) is not None:
+    if type(result) not in _REPORTS or np.ndim(getattr(result, "mu_hat", None)) > 1:
         raise TypeError("format_report takes one series' CLSFit or TestResult; a block result has no report")
     if form not in ("text", "json"):
         raise ValueError(f"report form must be 'text' or 'json', got {form!r}")

@@ -19,17 +19,18 @@ them. ``assemble_V_cls`` gives the blocks v11, v12 and v22 of the sandwich
 covariance V of the estimators, in the cross-term-free form the CLS
 estimating functions admit (v21 = v12').
 
+The Gram matrix is inverted as Q diag(1/lambda) Q' by ``numerics.eigh_batch``.
 Every stage also takes a block (R, n) of equal-length series, each row
 getting the bits of its series fitted alone; a block fit flags singular
-Gram matrices in ``gram_pivots`` and carries no warning text.
+Gram matrices in ``singular_gram`` and carries no warning text.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, InputError, SingularMatrixError
-from .numerics import MAX_DIM, invert_batch
+from .errors import EstimationError, InputError, require_int
+from .numerics import MAX_DIM, eigh_batch
 
 __all__ = [
     "CLSFit",
@@ -52,8 +53,7 @@ def build_regressors(series, p):
     z = np.asarray(series)
     if z.ndim not in (1, 2) or z.size == 0:
         raise InputError(f"series must be one series (n,) or a block (R, n) of them, got shape {z.shape}")
-    if not 1 <= p < MAX_DIM:
-        raise InputError(f"order must be an integer in 1..{MAX_DIM - 1}, got {p}")
+    require_int("order", p, 1, MAX_DIM)
     n = z.shape[-1]
     if n <= p:
         raise InputError(f"series length {n} too short for order {p}")
@@ -74,7 +74,7 @@ class CLSFit:
     """Both CLS stages plus what they computed on the way: the design
     matrix, the first-stage residuals Z_t - mu_hat'Y, the Gram matrix
     mean(Y Y') and its inverse, which the moment matrices reuse; for a block,
-    each row's first bad Gram pivot (-1 if none)."""
+    whether each row's Gram matrix is singular."""
 
     mu_hat: np.ndarray
     theta_hat: np.ndarray
@@ -83,7 +83,7 @@ class CLSFit:
     gram: np.ndarray
     gram_inv: np.ndarray
     warnings: tuple = ()
-    gram_pivots: np.ndarray = None
+    singular_gram: np.ndarray = None
 
     @property
     def n_eff(self):
@@ -100,18 +100,17 @@ def fit_cls(series, p):
         raise EstimationError(f"need at least p + 2 = {p + 2} rows, got {n_eff}")
     design_t = np.swapaxes(design, -1, -2)
     gram = design_t @ design / n_eff
-    gram_inv, pivots = invert_batch(gram.reshape((-1,) + gram.shape[-2:]))
-    gram_inv = gram_inv.reshape(gram.shape)
-    if gram.ndim == 2 and pivots[0] >= 0:
+    eigenvalues, q, singular = eigh_batch(gram.reshape((-1,) + gram.shape[-2:]))
+    if gram.ndim == 2 and singular[0]:
         raise EstimationError(
-            "singular Gram matrix: regressor columns are linearly dependent "
-            f"(pivot {pivots[0]}); a constant series is the typical cause"
-        ) from SingularMatrixError(int(pivots[0]))
+            "singular Gram matrix: regressor columns are linearly dependent; a constant series is the typical cause"
+        )
+    gram_inv = ((q / eigenvalues[:, None, :]) @ np.swapaxes(q, -1, -2)).reshape(gram.shape)
     mu_hat = (gram_inv @ (design_t @ response[..., None] / n_eff))[..., 0]
     residuals = response - (design @ mu_hat[..., None])[..., 0]
     theta_hat = (gram_inv @ (design_t @ (residuals**2)[..., None] / n_eff))[..., 0]
     if gram.ndim == 3:
-        return CLSFit(mu_hat, theta_hat, design, residuals, gram, gram_inv, gram_pivots=pivots)
+        return CLSFit(mu_hat, theta_hat, design, residuals, gram, gram_inv, singular_gram=singular)
 
     warnings = []
     thinning_means = mu_hat[:-1]

@@ -12,9 +12,11 @@ where W_hat is the delta-method covariance of the discrepancy,
     W = K v11 K - K v12 - v21 K + v22,
 
 built from the blocks of the estimators' joint covariance V and the
-diagonal matrix K of kappa derivatives at mu_hat. A subvector variant
-restricts the discrepancy and W to selected components (e.g. thinning lags
-only), with degrees of freedom equal to the number of tested components.
+diagonal matrix K of kappa derivatives at mu_hat. W_hat^{-1} is never formed:
+T = n_eff * sum_i (q_i'd)^2 / lambda_i over the eigenpairs of W_hat from
+``numerics.eigh_batch``. A subvector variant restricts the discrepancy and
+W to selected components (e.g. thinning lags only), with degrees of freedom
+equal to the number of tested components.
 
 The tests also take a block (R, n) of equal-length series, run each stage
 once over it and return a ``BlockResult``: per row the bits of its series
@@ -29,8 +31,8 @@ import numpy as np
 
 from .cls import estimate_moment_matrices, fit_cls
 from .distributions import KappaFamily, parse_kappa
-from .errors import InputError, TestError
-from .numerics import chi_square_survival, invert_batch
+from .errors import InputError, TestError, require_int
+from .numerics import chi_square_survival, eigh_batch
 
 __all__ = [
     "NullSpec",
@@ -161,20 +163,21 @@ def assemble_W(k, v11, v12, v22):
 
 
 def quadratic_forms(discrepancies, w_hats, n_eff):
-    """Quadratic forms n_eff * d' W^{-1} d of (R, m) discrepancies and
-    (R, m, m) W matrices, and per row a failure code, 0 if none: NONFINITE
-    (e.g. a kappa derivative so large that W overflows), SINGULAR_W or OVERFLOW."""
+    """Quadratic forms n_eff * sum_i (q_i'd)^2 / lambda_i of (R, m) d and (R, m, m) symmetric W with eigenpairs
+    (lambda_i, q_i), and per row a failure code, 0 if none: NONFINITE (e.g. a kappa derivative so large
+    that W overflows), SINGULAR_W or OVERFLOW."""
     d = np.asarray(discrepancies, dtype=np.float64)
     w = np.asarray(w_hats, dtype=np.float64)
     finite = np.isfinite(np.concatenate((d, w.reshape(len(w), -1)), axis=1)).all(axis=1)
-    if not finite.all():  # finite stand-ins, for the inversion
+    if not finite.all():  # finite stand-ins, for the eigendecomposition
         d = np.where(finite[:, None], d, 0.0)
         w = np.where(finite[:, None, None], w, np.eye(w.shape[-1]))
-    w_inv, pivots = invert_batch(w)
+    eigenvalues, q, singular = eigh_batch(w)
+    qd = (d[:, None, :] @ q)[:, 0, :]  # q_i'd, one column i per eigenvector
     with np.errstate(over="ignore", invalid="ignore"):
-        statistics = ((n_eff * d)[:, None, :] @ w_inv @ d[:, :, None])[:, 0, 0]
+        statistics = ((n_eff * qd / eigenvalues)[:, None, :] @ qd[:, :, None])[:, 0, 0]
     causes = np.where(np.isfinite(statistics), 0, OVERFLOW)
-    causes[pivots >= 0] = SINGULAR_W
+    causes[singular] = SINGULAR_W
     causes[~finite] = NONFINITE
     return statistics, causes
 
@@ -190,15 +193,14 @@ def test_statistic(discrepancy, w_hat, n_eff):
 
 
 def _resolve_indices(indices, dim):
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(indices)
     if not idx:
         raise InputError("subvector test needs a nonempty index set")
+    for i in idx:
+        require_int("index", i, 1, dim + 1)
     if len(set(idx)) != len(idx):
         raise InputError(f"duplicate indices in {idx}")
-    for i in idx:
-        if not 1 <= i <= dim:
-            raise InputError(f"index {i} outside 1..{dim}")
-    return tuple(sorted(idx))
+    return tuple(sorted(int(i) for i in idx))
 
 
 def _run(series, p, null, indices, level):
@@ -217,7 +219,7 @@ def _run(series, p, null, indices, level):
     df = len(idx)
     sel = np.array(idx) - 1
     d, w = (d_full, w_full) if df == p + 1 else (d_full[..., sel], w_full[..., sel[:, None], sel])
-    if fit.gram_pivots is not None:
+    if fit.singular_gram is not None:
         return _block_result(fit, d, w, df, level, idx)
 
     statistic = test_statistic(d, w, fit.n_eff)
@@ -233,7 +235,7 @@ def _run(series, p, null, indices, level):
 
 def _block_result(fit, d, w, df, level, idx):
     statistics, outcomes = quadratic_forms(d, w, fit.n_eff)
-    outcomes[fit.gram_pivots >= 0] = SINGULAR_GRAM
+    outcomes[fit.singular_gram] = SINGULAR_GRAM
     tested = np.flatnonzero(outcomes == KEEP)
     t = statistics[tested]
     p_values = np.full(len(outcomes), np.nan)
@@ -250,7 +252,7 @@ def run_test(series, p, null, level=0.05):
     chi-square p-value with p+1 degrees of freedom; the null is rejected
     when it is at most the level. A block of series gives a ``BlockResult``.
     """
-    return _run(series, p, null, range(1, p + 2), level)
+    return _run(series, p, null, range(1, null.order + 2), level)
 
 
 def run_subvector_test(series, p, null, indices, level=0.05):

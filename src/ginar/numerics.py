@@ -1,9 +1,9 @@
 """Small dense matrix algebra and chi-square tail utilities.
 
-Everything here operates on tiny matrices (at most ``2*(p+1)`` square, with
-p the autoregressive order), so a plain Gauss-Jordan sweep over each matrix
-of a stack is both fast enough and lets us surface the exact pivot that went
-bad instead of a generic linear-algebra failure.
+The matrices here are tiny and symmetric (the CLS Gram matrix and W_hat,
+at most ``2*(p+1)`` square for order p). ``eigh_batch`` decomposes a stack
+of them with one ``np.linalg.eigh``, which runs LAPACK once per matrix, so
+each gets the bits it gets alone; callers invert as Q diag(1/lambda) Q'.
 
 The chi-square tail is only ever needed for integer degrees of freedom
 (p+1 for the full test, the subset size for the subvector test), where it
@@ -21,58 +21,44 @@ from .errors import SingularMatrixError
 # than this is a caller bug, not a workload.
 MAX_DIM = 64
 
-# Relative pivot threshold below which a matrix is declared singular.
-PIVOT_RTOL = 1e-12
+# Relative eigenvalue threshold at or below which a matrix is declared singular.
+EIG_RTOL = 1e-12
 
 
-def invert_batch(m):
-    """Gauss-Jordan elimination with partial pivoting on each matrix of a
-    stack (R, d, d) of finite matrices, d at most ``MAX_DIM``.
+def eigh_batch(m):
+    """Eigenvalues (R, d), eigenvectors (R, d, d) and singular flags (R,) of
+    a stack (R, d, d) of finite symmetric matrices (lower triangles read).
 
-    Returns the inverses and per matrix the index of its first pivot at or
-    below ``PIVOT_RTOL`` times its largest absolute entry, -1 if none (its
-    inverse is then the identity). Matrices this small are swept fastest on
-    Python floats, which take the same IEEE steps as numpy's, one at a time.
+    A matrix is singular when its smallest |eigenvalue| is at most
+    ``EIG_RTOL`` times its largest, a rule blind to scale; its eigenvalues
+    then read 1, so Q diag(1/lambda) Q' gives the identity in its place.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    n = a.shape[1]
-    if n == 0 or n > MAX_DIM:
-        raise ValueError(f"matrix dimension {n} outside supported range 1..{MAX_DIM}")
-    scales = np.abs(a).max(axis=(1, 2))  # NaN or inf if an entry is
-    if not np.isfinite(scales).all():
+    if not 1 <= a.shape[1] <= MAX_DIM:
+        raise ValueError(f"matrix dimension {a.shape[1]} outside supported range 1..{MAX_DIM}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    eye = np.eye(n).tolist()
-    inverses, pivots = [], []
-    for rows, threshold in zip(a.tolist(), (PIVOT_RTOL * scales).tolist()):
-        aug = [row + unit for row, unit in zip(rows, eye)]  # a row of [a | I]
-        pivots.append(-1)
-        for col in range(n):
-            if col < n - 1:
-                column = [abs(row[col]) for row in aug[col:]]
-                pivot_row = col + column.index(max(column))  # the first largest
-                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = aug[col][col]
-            if abs(pivot) <= threshold:
-                pivots[-1] = col
-                break
-            top = aug[col] = [x / pivot for x in aug[col]]
-            for r, row in enumerate(aug):
-                factor = row[col]
-                if r != col and factor != 0.0:
-                    aug[r] = [x - factor * y for x, y in zip(row, top)]
-        inverses.append(eye if pivots[-1] >= 0 else [row[n:] for row in aug])
-    return np.array(inverses).reshape(a.shape), np.array(pivots, dtype=np.int64)
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    sizes = np.abs(eigenvalues)
+    singular = sizes.min(axis=1) <= EIG_RTOL * sizes.max(axis=1)
+    eigenvalues[singular] = 1.0
+    return eigenvalues, eigenvectors, singular
 
 
 def invert(m):
-    """Invert one square matrix: ``invert_batch`` on a stack of one, raising
-    ``SingularMatrixError`` with the index of the first bad pivot."""
-    inv, pivots = invert_batch(np.asarray(m, dtype=np.float64)[None])
-    if pivots[0] >= 0:
-        raise SingularMatrixError(int(pivots[0]))
-    return inv[0]
+    """Invert one symmetric matrix: ``eigh_batch`` on a stack of one, as
+    Q diag(1/lambda) Q'. Raises ``SingularMatrixError`` for a singular matrix
+    and ``ValueError`` for one that is not symmetric to rounding."""
+    a = np.asarray(m, dtype=np.float64)
+    eigenvalues, eigenvectors, singular = eigh_batch(a[None])
+    if np.abs(a - a.T).max() > EIG_RTOL * np.abs(a).max():
+        raise ValueError("matrix is not symmetric")
+    if singular[0]:
+        raise SingularMatrixError("matrix is singular to working precision")
+    q = eigenvectors[0]
+    return (q / eigenvalues[0]) @ q.T
 
 
 def chi_square_survival(x, df):

@@ -584,7 +584,7 @@ mean-variance relationship test
         3,
         "",
         """\
-numerical error: singular Gram matrix: regressor columns are linearly dependent (pivot 1); a constant series is the typical cause
+numerical error: singular Gram matrix: regressor columns are linearly dependent; a constant series is the typical cause
 """,
         id="exit-3",
     ),

@@ -72,7 +72,7 @@ class TestBuildRegressors:
             build_regressors(series, 1)
         assert build_regressors(np.array([2**53, 0, 1]), 1)[1][0, 0] == 2.0**53
 
-    @pytest.mark.parametrize("p", [0, 64])
+    @pytest.mark.parametrize("p", [0, 64, 1.5, 2.0, True])
     def test_order_outside_supported_range(self, p):
         with pytest.raises(InputError, match="order"):
             build_regressors(np.arange(100), p)

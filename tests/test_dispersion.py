@@ -224,9 +224,9 @@ class TestRunTest:
 
     def test_single_pass(self, monkeypatch):
         # one test, on one series or on a block of 25, builds the regressors
-        # once and makes exactly two batched inversions: the Gram matrices
-        # (shared by both CLS stages and V) and W
-        calls = {"build_regressors": 0, "invert_batch": 0}
+        # once and makes exactly two stacked eigendecompositions: the Gram
+        # matrices (shared by both CLS stages and V) and W
+        calls = {"build_regressors": 0, "eigh_batch": 0}
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -236,13 +236,13 @@ class TestRunTest:
             return wrapper
 
         monkeypatch.setattr(cls, "build_regressors", counting("build_regressors", cls.build_regressors))
-        wrapped = counting("invert_batch", numerics.invert_batch)
+        wrapped = counting("eigh_batch", numerics.eigh_batch)
         for module in (numerics, cls, dispersion_test):
-            monkeypatch.setattr(module, "invert_batch", wrapped)
+            monkeypatch.setattr(module, "eigh_batch", wrapped)
         for series in (h0_series(500, 75), np.stack([h0_series(500, 75 + r) for r in range(25)])):
-            calls.update(build_regressors=0, invert_batch=0)
+            calls.update(build_regressors=0, eigh_batch=0)
             run_test(series, 1, BERN_POIS_NULL, 0.05)
-            assert calls == {"build_regressors": 1, "invert_batch": 2}
+            assert calls == {"build_regressors": 1, "eigh_batch": 2}
 
     def test_detects_overdispersed_thinning(self):
         result = run_test(alt_series(2000, 73), 1, BERN_POIS_NULL, 0.05)
@@ -320,10 +320,16 @@ class TestSubvector:
         assert_allclose(sub.w_hat[0, 0], full.w_hat[1, 1])
         assert_allclose(sub.discrepancy[0], full.discrepancy[1])
 
-    @pytest.mark.parametrize("indices", [(), (0,), (3,), (1, 1)])
+    @pytest.mark.parametrize("indices", [(), (0,), (3,), (1, 1), (1.7,), (2.9,), (True,), ("2",)])
     def test_bad_indices(self, indices):
         with pytest.raises(InputError):
             run_subvector_test(h0_series(100, 109), 1, BERN_POIS_NULL, indices, 0.05)
+
+    def test_numpy_integer_indices(self):
+        series = h0_series(100, 109)
+        result = run_subvector_test(series, 1, BERN_POIS_NULL, (np.int64(2), np.uint8(1)), 0.05)
+        assert result.indices == (1, 2) and all(type(i) is int for i in result.indices)
+        assert result.statistic == run_test(series, 1, BERN_POIS_NULL, 0.05).statistic
 
 
 class TestReport:
@@ -398,7 +404,7 @@ class TestBlock:
         others = np.delete(np.arange(5), 2)
         assert np.all(result.outcomes[others] <= dispersion_test.NEGATIVE)
         assert np.all(np.isfinite(result.statistics[others]))
-        with pytest.raises(errors.EstimationError, match="pivot 1"):
+        with pytest.raises(errors.EstimationError, match="singular Gram matrix"):
             run_test(series[2], 1, BERN_POIS_NULL, 0.05)
 
     def test_negative_statistic_row(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from ginar.cls import build_regressors
-from ginar.dispersion_test import NullSpec
+from ginar.cls import build_regressors, fit_cls
+from ginar.dispersion_test import NullSpec, run_test
 from ginar.distributions import (
     BerG,
     Bernoulli,
@@ -53,6 +53,9 @@ INVALID = {
     ),
     "run_power_experiment": lambda: run_power_experiment(NULL_GRID, jobs=1),
     "build_regressors": lambda: build_regressors([1, -2, 3], 1),
+    # a fractional or float order used to escape as TypeError
+    "fit_cls_order_1.5": lambda: fit_cls(list(range(20)), 1.5),
+    "run_test_order_1.0": lambda: run_test(list(range(20)), 1.0, NullSpec((BernoulliKappa(), BernoulliKappa()))),
 }
 
 

@@ -5,22 +5,24 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
+from ginar.cls import build_regressors
 from ginar.errors import SingularMatrixError
-from ginar.numerics import PIVOT_RTOL, chi_square_quantile, chi_square_survival, invert, invert_batch
+from ginar.numerics import chi_square_quantile, chi_square_survival, eigh_batch, invert
 
 
 def gauss_jordan_oracle(m):
-    """The one-matrix Gauss-Jordan sweep that ``invert_batch`` stacks: the
-    inverse, or the index of the first pivot below the relative threshold."""
+    """Gauss-Jordan elimination with partial pivoting, an independent
+    reference inverse: the inverse, or None if a pivot is at or below 1e-12
+    times the largest absolute entry."""
     a = np.array(m, dtype=np.float64)
     n = a.shape[0]
-    threshold = PIVOT_RTOL * np.max(np.abs(a))
+    threshold = 1e-12 * np.max(np.abs(a))
     inv = np.eye(n)
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
         pivot = a[pivot_row, col]
         if abs(pivot) <= threshold:
-            return col
+            return None
         if pivot_row != col:
             a[[col, pivot_row]] = a[[pivot_row, col]]
             inv[[col, pivot_row]] = inv[[pivot_row, col]]
@@ -34,26 +36,40 @@ def gauss_jordan_oracle(m):
     return inv
 
 
-def oracle_stack(rng, d, size=60):
-    """Random, 1e6-scaled, rank-deficient, sparse and small-integer d x d
-    matrices; the small-integer ones tie in pivot magnitude, where the first
-    largest must win."""
+def symmetric_stack(rng, d, size=60):
+    """Symmetric positive-definite, indefinite and 1e6-scaled d x d matrices."""
     mats = []
     for k in range(size):
         a = rng.normal(size=(d, d))
-        kind = k % 5
-        if kind == 1:
-            a *= 1e6
-        elif kind == 2 and d > 1:
-            rank = int(rng.integers(1, d))
-            a = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, d))
-        elif kind == 3:
-            a[rng.random(size=(d, d)) < 0.4] = 0.0  # zero factors and -0.0 entries
-            a[rng.random(size=(d, d)) < 0.1] = -0.0
-        elif kind == 4:
-            a = rng.integers(-2, 3, size=(d, d)).astype(np.float64)
+        kind = k % 3
+        if kind == 0:
+            a = a @ a.T + d * np.eye(d)
+        else:
+            a = a + a.T
+            if kind == 2:
+                a *= 1e6
         mats.append(a)
     return np.array(mats)
+
+
+def singular_stack(rng, d):
+    """Rank-deficient, zero and constant-series Gram matrices, then one
+    positive-definite matrix; all but the last are singular."""
+    mats = [np.zeros((d, d))]
+    for rank in range(1, d):
+        b = rng.normal(size=(d, rank))
+        mats.append(b @ b.T)
+    if d >= 2:
+        for level in (1, 3, 1000):
+            design = build_regressors(np.full(50, level), d - 1)[1]
+            mats.append(design.T @ design / len(design))
+    b = rng.normal(size=(d, d))
+    mats.append(b @ b.T + np.eye(d))
+    return np.array(mats)
+
+
+def inverses(eigenvalues, eigenvectors):
+    return (eigenvectors / eigenvalues[:, None, :]) @ np.swapaxes(eigenvectors, -1, -2)
 
 
 class TestInvert:
@@ -66,37 +82,46 @@ class TestInvert:
     def test_multiply_back(self):
         rng = np.random.default_rng(101)
         for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
+            b = rng.normal(size=(2, 2))
+            a = b @ b.T + np.eye(2)
             assert_allclose(a @ invert(a), np.eye(2), atol=1e-10)
 
     def test_double_inverse_round_trip(self):
         rng = np.random.default_rng(55)
         for n in (2, 3, 4):
-            a = rng.normal(size=(n, n)) + n * np.eye(n)
+            b = rng.normal(size=(n, n))
+            a = b + b.T + 2 * n * np.eye(n)
             assert_allclose(invert(invert(a)), a, rtol=1e-8)
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 4, 6):
-            a = rng.normal(size=(n, n)) + n * np.eye(n)
+            b = rng.normal(size=(n, n))
+            a = b + b.T + 2 * n * np.eye(n)
             assert_allclose(invert(a), np.linalg.inv(a), rtol=1e-9, atol=1e-12)
 
-    def test_singular_names_pivot(self):
-        with pytest.raises(SingularMatrixError) as excinfo:
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrixError, match="singular to working precision"):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert excinfo.value.pivot_index == 1
-        assert "pivot 1" in str(excinfo.value)
 
-    def test_zero_matrix_singular_at_first_pivot(self):
-        with pytest.raises(SingularMatrixError) as excinfo:
+    def test_zero_matrix_is_singular(self):
+        with pytest.raises(SingularMatrixError):
             invert(np.zeros((3, 3)))
-        assert excinfo.value.pivot_index == 0
 
     def test_near_singular_relative_threshold(self):
-        # second column nearly collinear: pivot ratio below 1e-12 of scale
-        a = np.array([[1e6, 1e6], [1.0, 1.0 + 1e-10]])
+        # second column nearly collinear: eigenvalue ratio 2.5e-13, below 1e-12
+        a = np.array([[1e6, 1e6], [1e6, 1e6 + 1e-6]])
         with pytest.raises(SingularMatrixError):
             invert(a)
+
+    def test_refuses_a_matrix_that_is_not_symmetric(self):
+        # eigh reads only the lower triangle, so this would invert [[4, 2], [2, 3]]
+        with pytest.raises(ValueError, match="not symmetric"):
+            invert([[4.0, 1.0], [2.0, 3.0]])
+
+    def test_accepts_rounding_asymmetry(self):
+        a = np.array([[4.0, 1.0], [1.0 + 4e-16, 3.0]])
+        assert_allclose(a @ invert(a), np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4), np.full((2, 2), np.nan)])
     def test_invalid_inputs(self, bad):
@@ -109,47 +134,56 @@ class TestInvert:
 
 
 class TestInvertBatch:
+    """A stack inverted through ``eigh_batch`` as Q diag(1/lambda) Q'."""
+
     @pytest.mark.parametrize("d", range(1, 9))
-    def test_bitwise_equal_to_one_matrix_sweep(self, d):
-        # same inverse bits (signs of zeros included) and same first bad pivot
-        stack = oracle_stack(np.random.default_rng(100 + d), d)
-        inverses, pivots = invert_batch(stack)
-        singular = 0
-        for a, inv, pivot in zip(stack, inverses, pivots):
+    def test_inverses_match_gauss_jordan(self, d):
+        stack = symmetric_stack(np.random.default_rng(100 + d), d)
+        eigenvalues, eigenvectors, singular = eigh_batch(stack)
+        assert not singular.any()
+        for a, inv in zip(stack, inverses(eigenvalues, eigenvectors)):
             expected = gauss_jordan_oracle(a)
-            if isinstance(expected, int):
-                singular += 1
-                assert pivot == expected
-            else:
-                assert pivot == -1
-                assert np.array_equal(inv.view(np.int64), expected.view(np.int64))
-        assert d == 1 or singular > 0
+            assert np.abs(inv - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_singular_flags_do_not_depend_on_scale(self, d):
+        stack = singular_stack(np.random.default_rng(200 + d), d)
+        expected = [True] * (len(stack) - 1) + [False]
+        for scale in (1.0, 1e100, 1e-100):
+            assert eigh_batch(stack * scale)[2].tolist() == expected
 
     def test_rows_do_not_depend_on_the_stack(self):
-        stack = oracle_stack(np.random.default_rng(7), 3, size=40)
-        inverses, pivots = invert_batch(stack)
-        for k in (0, 13, 39):
-            alone, pivot = invert_batch(stack[k : k + 1])
-            assert pivot[0] == pivots[k]
-            assert np.array_equal(alone[0].view(np.int64), inverses[k].view(np.int64))
+        # each row's eigenpairs, flag and inverse are bitwise its matrix's alone
+        for d in (1, 2, 3, 4, 8):
+            rng = np.random.default_rng(300 + d)
+            stack = np.concatenate((symmetric_stack(rng, d, size=30), singular_stack(rng, d)))
+            stacked = eigh_batch(stack)
+            for k, a in enumerate(stack):
+                alone = eigh_batch(stack[k : k + 1])
+                for whole, row in zip(stacked, alone):
+                    assert np.array_equal(whole[k : k + 1], row)
+                if not stacked[2][k]:
+                    assert np.array_equal(invert(a), inverses(*stacked[:2])[k])
 
     def test_singular_rows_are_flagged_not_raised(self):
         stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2)), np.diag([2.0, 4.0])])
-        inverses, pivots = invert_batch(stack)
-        assert pivots.tolist() == [-1, 1, 0, -1]
-        assert np.all(np.isfinite(inverses))
-        assert_allclose(inverses[3], np.diag([0.5, 0.25]))
+        eigenvalues, eigenvectors, singular = eigh_batch(stack)
+        assert singular.tolist() == [False, True, True, False]
+        assert np.all(eigenvalues[singular] == 1.0)
+        inv = inverses(eigenvalues, eigenvectors)
+        assert_allclose(inv[1:3], np.stack([np.eye(2)] * 2), atol=1e-15)
+        assert_allclose(inv[3], np.diag([0.5, 0.25]))
 
     def test_invert_is_the_stack_of_one(self):
-        a = np.array([[4.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(invert(a), invert_batch(a[None])[0][0])
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(invert(a), inverses(*eigh_batch(a[None])[:2])[0])
 
     @pytest.mark.parametrize(
         "bad", [np.eye(2), np.ones((2, 2, 3)), np.full((1, 2, 2), np.inf), np.ones((1, 65, 65))]
     )
     def test_invalid_stacks(self, bad):
         with pytest.raises(ValueError):
-            invert_batch(bad)
+            eigh_batch(bad)
 
 
 class TestChiSquareSurvival:
