@@ -3,12 +3,12 @@
 Every check on a caller-supplied value (parameters, settings, series, spec
 strings, config and CSV files) raises ``InputError``, also a ``ValueError``,
 where the check lives. ``NumericalError`` covers failures on valid input
-(singular matrices, failed estimation); a matrix is singular by its
-eigenvalues, so no message names a pivot. A plain ``ValueError`` from a
-numeric kernel (``eigh_batch`` and ``invert``, the chi-square tail, the
-shape checks of ``assemble_W`` and ``build_K``) is a bug in its caller. The
-command line exits 2 on ``InputError`` or ``OSError`` and 3 on
-``NumericalError``; anything else surfaces with its traceback.
+(a matrix singular by its eigenvalues, failed estimation). A plain
+``ValueError`` from a numeric kernel (``eigh_batch`` and ``invert``, the
+chi-square tail, the shape checks of ``assemble_W`` and ``build_K``) is a
+bug in its caller. The command line exits 2 on ``InputError`` or
+``OSError`` and 3 on ``NumericalError``; anything else surfaces with its
+traceback.
 """
 
 import numbers
