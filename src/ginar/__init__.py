@@ -51,7 +51,6 @@ from .dispersion_test import (
     parse_null,
     run_subvector_test,
     run_test,
-    test_statistic,
 )
 from .montecarlo import (
     ExperimentGrid,

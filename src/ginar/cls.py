@@ -57,6 +57,8 @@ def build_regressors(series, p):
     n = z.shape[-1]
     if n <= p:
         raise InputError(f"series length {n} too short for order {p}")
+    if z.dtype.kind not in "iufO":  # bool, complex and string series are not counts
+        raise InputError(f"series values must be nonnegative integers, got dtype {z.dtype}")
     counts = z.astype(np.float64)
     if np.any(counts < 0) or (z.dtype.kind not in "iu" and np.any(counts != np.floor(counts))):
         raise InputError("series values must be nonnegative integers")

@@ -18,11 +18,12 @@ T = n_eff * sum_i (q_i'd)^2 / lambda_i over the eigenpairs of W_hat from
 W to selected components (e.g. thinning lags only), with degrees of freedom
 equal to the number of tested components.
 
-The tests also take a block (R, n) of equal-length series, run each stage
-once over it and return a ``BlockResult``: per row the bits of its series
-tested alone, as statistic, p-value and an outcome code, KEEP, REJECT,
-NEGATIVE (T < 0, null kept) or the failure one series would raise
-(SINGULAR_GRAM, NONFINITE, SINGULAR_W, OVERFLOW).
+Every test runs as a stack, one series as a block of one, and ``_run`` gives
+each row an outcome code once: KEEP, REJECT, NEGATIVE (T < 0, null kept) or a
+failure, SINGULAR_GRAM, NONFINITE, SINGULAR_W (by W_hat's eigenvalues, or W_hat
+cancelled to ``EIG_RTOL`` times its terms) or OVERFLOW. A block (R, n) returns a
+``BlockResult``, each row bit for bit its series tested alone; one series returns
+a ``TestResult`` or raises its failure as a ``TestError``.
 """
 
 from dataclasses import dataclass
@@ -31,8 +32,8 @@ import numpy as np
 
 from .cls import estimate_moment_matrices, fit_cls
 from .distributions import KappaFamily, parse_kappa
-from .errors import InputError, TestError, require_int
-from .numerics import chi_square_survival, eigh_batch
+from .errors import InputError, TestError, require_int, require_level
+from .numerics import EIG_RTOL, chi_square_survival, eigh_batch
 
 __all__ = [
     "NullSpec",
@@ -40,7 +41,6 @@ __all__ = [
     "BlockResult",
     "build_K",
     "assemble_W",
-    "test_statistic",
     "quadratic_forms",
     "run_test",
     "run_subvector_test",
@@ -182,16 +182,6 @@ def quadratic_forms(discrepancies, w_hats, n_eff):
     return statistics, causes
 
 
-def test_statistic(discrepancy, w_hat, n_eff):
-    """Quadratic form n_eff * d' W^{-1} d: ``quadratic_forms`` on a stack
-    of one, raising ``TestError`` on a failure."""
-    statistics, causes = quadratic_forms(np.asarray(discrepancy)[None], np.asarray(w_hat)[None], n_eff)
-    statistic = float(statistics[0])
-    if causes[0]:
-        raise TestError(_TEST_ERRORS[causes[0]].format(statistic=statistic))
-    return statistic
-
-
 def _resolve_indices(indices, dim):
     idx = tuple(indices)
     if not idx:
@@ -204,45 +194,42 @@ def _resolve_indices(indices, dim):
 
 
 def _run(series, p, null, indices, level):
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must lie in (0, 1), got {level}")
+    require_level(level)
     if null.order != p:
         raise InputError(f"null spec has {null.order + 1} families, expected p+1 = {p + 1}")
+    idx = _resolve_indices(indices, p + 1)
+    df, sel = len(idx), np.array(idx) - 1
     fit = fit_cls(series, p)
     moments = estimate_moment_matrices(fit)
     with np.errstate(over="ignore", invalid="ignore"):  # quadratic_forms flags non-finite d or W
         kappa_vals, k, k_warnings = build_K(null, fit.mu_hat)
-        w_full = assemble_W(k, moments.v11, moments.v12, moments.v22)
-    d_full = kappa_vals - fit.theta_hat
-
-    idx = _resolve_indices(indices, p + 1)
-    df = len(idx)
-    sel = np.array(idx) - 1
-    d, w = (d_full, w_full) if df == p + 1 else (d_full[..., sel], w_full[..., sel[:, None], sel])
-    if fit.singular_gram is not None:
-        return _block_result(fit, d, w, df, level, idx)
-
-    statistic = test_statistic(d, w, fit.n_eff)
-    p_value = chi_square_survival(max(statistic, 0.0), df)
-    warnings = tuple(fit.warnings) + tuple(k_warnings)
-    if statistic < 0.0:
-        warnings += (
-            f"test statistic {statistic:.6g} is negative because W_hat is indefinite "
-            "on the tested components; p-value set to 1 and the null kept",
-        )
-    return TestResult(statistic, df, p_value, bool(p_value <= level), level, d, w, idx, warnings)
-
-
-def _block_result(fit, d, w, df, level, idx):
+        w = assemble_W(k, moments.v11, moments.v12, moments.v22)[..., sel[:, None], sel].reshape(-1, df, df)
+        terms = assemble_W(np.abs(k), np.abs(moments.v11), -np.abs(moments.v12), np.abs(moments.v22))
+    d = (kappa_vals - fit.theta_hat)[..., sel].reshape(-1, df)
     statistics, outcomes = quadratic_forms(d, w, fit.n_eff)
-    outcomes[fit.singular_gram] = SINGULAR_GRAM
+    # a W cancelled to rounding noise against the terms it sums is singular, whatever its spectrum says
+    cancelled = np.abs(w).max(axis=(1, 2)) <= EIG_RTOL * terms[..., sel[:, None], sel].reshape(len(w), -1).max(axis=1)
+    outcomes[cancelled & (outcomes != NONFINITE)] = SINGULAR_W
+    if fit.singular_gram is not None:
+        outcomes[fit.singular_gram] = SINGULAR_GRAM
     tested = np.flatnonzero(outcomes == KEEP)
     t = statistics[tested]
     p_values = np.full(len(outcomes), np.nan)
     p_values[tested] = [chi_square_survival(max(x, 0.0), df) for x in t.tolist()]
     outcomes[tested] = np.where(t < 0.0, NEGATIVE, np.where(p_values[tested] <= level, REJECT, KEEP))
-    statistics[outcomes >= SINGULAR_GRAM] = np.nan
-    return BlockResult(statistics, p_values, outcomes, df, level, idx)
+    if fit.singular_gram is not None:
+        statistics[outcomes >= SINGULAR_GRAM] = np.nan
+        return BlockResult(statistics, p_values, outcomes, df, level, idx)
+    code, statistic = outcomes[0], float(statistics[0])
+    if code >= SINGULAR_GRAM:
+        raise TestError(_TEST_ERRORS[code].format(statistic=statistic))
+    warnings = tuple(fit.warnings) + tuple(k_warnings)
+    if code == NEGATIVE:
+        warnings += (
+            f"test statistic {statistic:.6g} is negative because W_hat is indefinite "
+            "on the tested components; p-value set to 1 and the null kept",
+        )
+    return TestResult(statistic, df, float(p_values[0]), bool(code == REJECT), level, d[0], w[0], idx, warnings)
 
 
 def run_test(series, p, null, level=0.05):

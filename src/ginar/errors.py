@@ -46,3 +46,9 @@ def require_int(what, value, low, high=None):
     if not (integer and low <= value and (high is None or value < high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InputError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
+def require_level(level):
+    """Raise ``InputError`` unless ``level`` is a real number in (0, 1)."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise InputError(f"level must lie in (0, 1), got {level!r}")

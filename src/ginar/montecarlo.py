@@ -24,6 +24,7 @@ import csv
 import functools
 import io
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import numpy as np
 
 from .distributions import BerG, Bernoulli, BernoulliKappa, Poisson, PoissonKappa
 from .dispersion_test import REJECT, SINGULAR_GRAM, NullSpec, run_test
-from .errors import InputError, NumericalError, require_int
+from .errors import InputError, NumericalError, require_int, require_level
 from .simulate import GinarModel, sample_path
 
 __all__ = [
@@ -72,7 +73,8 @@ class ExperimentGrid:
     def __post_init__(self):
         object.__setattr__(self, "pi_values", tuple(float(v) for v in self.pi_values))
         object.__setattr__(self, "xi_values", tuple(float(v) for v in self.xi_values))
-        if any(isinstance(n, float) and not n.is_integer() for n in self.n_values):
+        if not all(isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer()
+                   for n in self.n_values):
             raise InputError(f"'n_values' needs finite whole numbers, got {self.n_values}")
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         if not self.pi_values or not self.n_values:
@@ -95,8 +97,7 @@ class ExperimentGrid:
             require_int("series length", n, _MIN_LENGTH)
         require_int("replications", self.replications, 1)
         require_int("burn-in", self.burn_in, 0)
-        if not 0.0 < self.level < 1.0:
-            raise InputError(f"level must lie in (0,1), got {self.level}")
+        require_level(self.level)
         require_int("master seed", self.master_seed, 0, 2**64)
 
 
@@ -175,8 +176,7 @@ def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     require_int("series length", n, _MIN_LENGTH)
     require_int("replications", replications, 1)
     require_int("burn-in", burn_in, 0)
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must lie in (0,1), got {level}")
+    require_level(level)
     require_int("cell seed", cell_seed, 0)
     if jobs is None:
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

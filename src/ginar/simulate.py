@@ -282,32 +282,29 @@ def _read_series_csv(path, data):
 
 
 def write_series(path, series):
-    """Write a count series as single-column CSV with header ``count``, one write of the bytes
-    ``csv.writer`` would give (CRLF line ends). A series ``read_series`` would refuse (empty, not 1-D,
-    or a value not a count, named by index; whole floats pass) raises ``InputError`` before opening.
-    An integer array is formatted in numpy one digit position at a time, other input with ``str``."""
+    """Write a count series as single-column CSV with header ``count``, one write of the bytes ``csv.writer`` would
+    give (CRLF line ends), formatted in numpy one digit position at a time. A series ``read_series`` would refuse
+    (empty, not 1-D, or a value not a count, named by index; whole floats pass) raises ``InputError`` before opening."""
     values = np.asarray(series)
     if values.ndim != 1 or values.size == 0:
         raise InputError(f"{path}: expected a nonempty one-dimensional series, got shape {values.shape}")
-    if values.dtype.kind in "iu" and 0 <= values.min() <= values.max() <= _INT64_MAX:
-        # column j of ``lines``: values[j] zero-padded to the widest, CR, LF; ``keep`` drops the padding
-        q = values.astype(np.uint64)
-        width = len(str(q.max()))
-        lines = np.empty((width + 2, q.size), dtype=np.uint8)
-        keep = np.ones(lines.shape, dtype=bool)
-        for digit in reversed(range(width)):
-            keep[digit] = q > 0
-            r = q // 10  # a scalar divisor takes numpy's fast integer division
-            lines[digit] = q - r * 10 + 48
-            q = r
-        keep[width - 1] = True
-        lines[-2:] = ((13,), (10,))
-        data = b"count\r\n" + lines.T[keep.T].tobytes()
-    else:
+    if not (values.dtype.kind in "iu" and 0 <= values.min() <= values.max() <= _INT64_MAX):
         counts = [int(v) if isinstance(v, float) and v.is_integer() else v for v in values.tolist()]
         for index, value in enumerate(counts):
             if type(value) is not int or not 0 <= value <= _INT64_MAX:
                 raise InputError(f"{path}: value {value!r} at index {index} is not a count in 0..2**63 - 1")
-        data = "\r\n".join(["count", *map(str, counts), ""]).encode()
+        values = np.array(counts, dtype=np.uint64)
+    # column j of ``lines``: values[j] zero-padded to the widest, CR, LF; ``keep`` drops the padding
+    q = values.astype(np.uint64)
+    width = len(str(q.max()))
+    lines = np.empty((width + 2, q.size), dtype=np.uint8)
+    keep = np.ones(lines.shape, dtype=bool)
+    for digit in reversed(range(width)):
+        keep[digit] = q > 0
+        r = q // 10  # a scalar divisor takes numpy's fast integer division
+        lines[digit] = q - r * 10 + 48
+        q = r
+    keep[width - 1] = True
+    lines[-2:] = ((13,), (10,))
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(b"count\r\n" + lines.T[keep.T].tobytes())

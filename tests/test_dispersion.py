@@ -9,10 +9,10 @@ from ginar.dispersion_test import (
     assemble_W,
     build_K,
     parse_null,
+    quadratic_forms,
     run_subvector_test,
     run_test,
 )
-from ginar.dispersion_test import test_statistic as quadratic_form
 from ginar.distributions import BerG, Bernoulli, BernoulliKappa, Poisson, PoissonKappa
 from ginar.errors import InputError
 from ginar.numerics import chi_square_quantile, chi_square_survival
@@ -143,12 +143,22 @@ class TestAssembleW:
         assert abs(empirical - 2.0 * lam**2) / (2.0 * lam**2) < 0.15
 
 
+def quadratic_form(d, w, n_eff):
+    """``quadratic_forms`` on a stack of one: the statistic and its failure code."""
+    statistics, causes = quadratic_forms(np.asarray(d, dtype=np.float64)[None], np.asarray(w)[None], n_eff)
+    return statistics[0], causes[0]
+
+
 class TestStatistic:
+    """``quadratic_forms`` row by row; ``run_test`` raises ``TestError`` on each failure code."""
+
     def test_zero_discrepancy(self):
-        assert quadratic_form(np.zeros(2), np.eye(2), 500) == 0.0
+        assert quadratic_form(np.zeros(2), np.eye(2), 500) == (0.0, 0)
 
     def test_unit_case(self):
-        assert_allclose(quadratic_form(np.array([1.0, 0.0]), np.eye(2), 100), 100.0)
+        statistic, cause = quadratic_form(np.array([1.0, 0.0]), np.eye(2), 100)
+        assert_allclose(statistic, 100.0)
+        assert cause == 0
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -163,24 +173,25 @@ class TestStatistic:
                 for j in range(dim):
                     expected += d[i] * w_inv[i, j] * d[j]
             expected *= 321
-            assert_allclose(quadratic_form(d, w, 321), expected, atol=1e-10 * abs(expected))
+            statistic, cause = quadratic_form(d, w, 321)
+            assert_allclose(statistic, expected, atol=1e-10 * abs(expected))
+            assert cause == 0
 
     def test_singular_w_is_test_error(self):
-        with pytest.raises(errors.TestError, match="singular"):
-            quadratic_form(np.ones(2), np.ones((2, 2)), 100)
+        assert quadratic_form(np.ones(2), np.ones((2, 2)), 100)[1] == dispersion_test.SINGULAR_W
 
     @pytest.mark.parametrize(
-        "d,w",
+        "d,w,code",
         [
-            ([np.nan, 0.0], np.eye(2)),
-            ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
-            ([1e200, 0.0], [[1e-200, 0.0], [0.0, 1.0]]),
+            ([np.nan, 0.0], np.eye(2), dispersion_test.NONFINITE),
+            ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], dispersion_test.NONFINITE),
+            # diag(1e-200, 1) would be singular by its eigenvalue ratio; 1e-200 * I is regular
+            ([1e200, 0.0], [[1e-200, 0.0], [0.0, 1e-200]], dispersion_test.OVERFLOW),
         ],
         ids=["nan-discrepancy", "inf-w", "overflowing-form"],
     )
-    def test_non_finite_is_test_error(self, d, w):
-        with pytest.raises(errors.TestError):
-            quadratic_form(np.array(d), np.array(w), 100)
+    def test_non_finite_is_test_error(self, d, w, code):
+        assert quadratic_form(np.array(d), np.array(w), 100)[1] == code
 
     def test_zero_statistic_never_rejects(self):
         # discrepancy exactly zero: T = 0, p-value 1, keep at any level
@@ -358,6 +369,28 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+# p = 2 counts whose W_hat cancels to rounding noise under bernoulli,bernoulli,poisson
+CANCELLED = np.array([1, 1, 1, 1, 1, 0, 0, 1])
+
+
+def negative_series():
+    # W_hat is indefinite for this short series, so T < 0
+    model = GinarModel(counting=(Bernoulli(0.8),), innovation=Poisson(1.0))
+    return simulate(model, SimConfig(n=50, burn_in=1000, seed=9))
+
+
+# series, order, null and the outcome code of each: together every code a series reaches
+ONE_SERIES = {
+    "keep": (lambda: h0_series(2000, 79), 1, "bernoulli,poisson", dispersion_test.KEEP),
+    "reject": (lambda: alt_series(2000, 73), 1, "bernoulli,poisson", dispersion_test.REJECT),
+    "negative": (negative_series, 1, "bernoulli,poisson", dispersion_test.NEGATIVE),
+    "constant": (lambda: np.full(50, 3), 1, "bernoulli,poisson", dispersion_test.SINGULAR_GRAM),
+    "alternating": (lambda: np.array([0, 1] * 10), 1, "bernoulli,poisson", dispersion_test.SINGULAR_W),
+    "overflowing-w": (lambda: h0_series(300, 5), 1, "negbinomial(r=1e-300),poisson", dispersion_test.NONFINITE),
+    "cancelled-w": (lambda: CANCELLED, 2, "bernoulli,bernoulli,poisson", dispersion_test.SINGULAR_W),
+}
+
+
 class TestBlock:
     """A block (R, n) runs every stage once over its rows; each row gets the
     numbers of its series tested alone, and failures become outcome codes."""
@@ -425,6 +458,36 @@ class TestBlock:
         assert result.outcomes[0] == dispersion_test.SINGULAR_W
         with pytest.raises(errors.TestError, match="singular"):
             run_test(singular[0], 1, BERN_POIS_NULL, 0.05)
+        # W_hat of CANCELLED is below 1e-14 in every entry, against terms of 0.07 and more: it used to
+        # pass as regular by its own eigenvalue ratio and reject with T = 9.3e15
+        null = parse_null("bernoulli,bernoulli,poisson")
+        cancelled = run_test(np.stack([CANCELLED, [2, 1, 0, 1, 3, 1, 0, 2]]), 2, null, 0.05)
+        assert cancelled.outcomes[0] == dispersion_test.SINGULAR_W and np.isnan(cancelled.statistics[0])
+        with pytest.raises(errors.TestError, match="W_hat is singular"):
+            run_test(CANCELLED, 2, null, 0.05)
+
+    @pytest.mark.parametrize("series,p,null,code", ONE_SERIES.values(), ids=ONE_SERIES.keys())
+    def test_one_series_is_a_block_of_one(self, series, p, null, code):
+        # one series gets the outcome of its row in a block of one: the same statistic and p-value bit
+        # for bit, or the exception that the row's failure code names
+        series, null = series(), parse_null(null)
+        row = run_test(series[None], p, null, 0.05)
+        assert row.outcomes[0] == code
+        if code >= dispersion_test.SINGULAR_GRAM:
+            expected = (
+                (errors.EstimationError, "singular Gram matrix: regressor columns are linearly dependent")
+                if code == dispersion_test.SINGULAR_GRAM
+                else (errors.TestError, dispersion_test._TEST_ERRORS[code])
+            )
+            with pytest.raises(expected[0]) as raised:
+                run_test(series, p, null, 0.05)
+            assert str(raised.value).startswith(expected[1])
+            return
+        result = run_test(series, p, null, 0.05)
+        assert bits(result.statistic) == bits(row.statistics[0]) and bits(result.p_value) == bits(row.p_values[0])
+        assert type(result.p_value) is float
+        assert result.reject == (code == dispersion_test.REJECT)
+        assert any("is negative" in w for w in result.warnings) == (code == dispersion_test.NEGATIVE)
 
     def test_block_result_exposes_no_scalar_fields(self):
         # tools that read a TestResult's reject/statistic/warnings must not

@@ -1,5 +1,6 @@
 """Every check on a caller-supplied value raises ``InputError`` at the check."""
 
+import numpy as np
 import pytest
 
 from ginar.cls import build_regressors, fit_cls
@@ -56,6 +57,14 @@ INVALID = {
     # a fractional or float order used to escape as TypeError
     "fit_cls_order_1.5": lambda: fit_cls(list(range(20)), 1.5),
     "run_test_order_1.0": lambda: run_test(list(range(20)), 1.0, NullSpec((BernoulliKappa(), BernoulliKappa()))),
+    # bool, complex and string series are not counts: they were fitted as 0/1, fitted on their real part
+    # after a ComplexWarning, or escaped as numpy's UFuncTypeError
+    "build_regressors_bool": lambda: build_regressors(np.array([True, False, True, True, False]), 1),
+    "build_regressors_complex": lambda: build_regressors(np.arange(5) + 0j, 1),
+    "fit_cls_strings": lambda: fit_cls(["1", "2", "0", "3", "1"], 1),
+    # a level given as a string escaped as TypeError
+    "run_test_level_str": lambda: run_test(list(range(20)), 1, NullSpec((BernoulliKappa(), BernoulliKappa())), "0.05"),
+    "run_cell_level_str": lambda: run_cell(0.3, 0.0, 100, 2, 10, "0.05", cell_seed=1, jobs=1),
 }
 
 

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from ginar import montecarlo
@@ -52,6 +53,10 @@ class TestGridValidation:
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "master_seed": 1.5},
             # n = 3 leaves two regression rows, one short of the INAR(1) fit
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (3,)},
+            # only whole numbers are lengths: these two ran as n = 500
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (np.float32(500.5),)},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": ("500",)},
+            {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "level": "0.05"},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):

@@ -219,14 +219,25 @@ def count_arrays(draw):
     return np.array(draw(st.lists(st.integers(0, top), min_size=1, max_size=20)), dtype=dtype)
 
 
+@st.composite
+def count_series(draw):
+    """Counts as an integer array, a list of ints, or whole floats (exact up to 2**53) in a list or an array."""
+    counts = draw(count_arrays())
+    floats = [float(min(v, 2**53)) for v in counts.tolist()]
+    return draw(st.sampled_from([counts, counts.tolist(), floats, np.array(floats)]))
+
+
 @DETERMINISTIC
-@given(count_arrays())
+@given(count_series())
 @example(np.array([0, 9, 10, 99, 100, 10**18, 2**63 - 1], dtype=np.int64))
 @example(np.array([0, 9, 10, 99, 100, 10**18, 2**63 - 1], dtype=np.uint64))
 @example(np.array([7], dtype=np.uint8))
+@example([0, 9, 10, 2**63 - 1])
+@example([0.0, 10.0, 2.0**53])
 def test_write_series_writes_each_count_as_a_crlf_line(series):
+    counts = [int(v) for v in np.asarray(series).tolist()]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.csv"
         write_series(path, series)
-        assert path.read_bytes() == b"count\r\n" + b"".join(b"%d\r\n" % v for v in series.tolist())
-        assert read_series(path).tolist() == series.tolist()
+        assert path.read_bytes() == b"count\r\n" + b"".join(b"%d\r\n" % v for v in counts)
+        assert read_series(path).tolist() == counts
