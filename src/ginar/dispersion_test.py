@@ -212,15 +212,15 @@ def _run(series, p, null, indices, level):
     outcomes[cancelled & (outcomes != NONFINITE)] = SINGULAR_W
     if fit.singular_gram is not None:
         outcomes[fit.singular_gram] = SINGULAR_GRAM
-    tested = np.flatnonzero(outcomes == KEEP)
-    t = statistics[tested]
-    p_values = np.full(len(outcomes), np.nan)
-    p_values[tested] = [chi_square_survival(max(x, 0.0), df) for x in t.tolist()]
-    outcomes[tested] = np.where(t < 0.0, NEGATIVE, np.where(p_values[tested] <= level, REJECT, KEEP))
+    p_values, codes = [], []
+    for statistic, code in zip(statistics.tolist(), outcomes.tolist()):
+        p_values.append(np.nan if code else chi_square_survival(max(statistic, 0.0), df))
+        codes.append(code or (NEGATIVE if statistic < 0.0 else REJECT if p_values[-1] <= level else KEEP))
     if fit.singular_gram is not None:
+        outcomes = np.array(codes)
         statistics[outcomes >= SINGULAR_GRAM] = np.nan
-        return BlockResult(statistics, p_values, outcomes, df, level, idx)
-    code, statistic = outcomes[0], float(statistics[0])
+        return BlockResult(statistics, np.array(p_values), outcomes, df, level, idx)
+    (code,), (statistic,) = codes, statistics.tolist()
     if code >= SINGULAR_GRAM:
         raise TestError(_TEST_ERRORS[code].format(statistic=statistic))
     warnings = tuple(fit.warnings) + tuple(k_warnings)
@@ -229,7 +229,7 @@ def _run(series, p, null, indices, level):
             f"test statistic {statistic:.6g} is negative because W_hat is indefinite "
             "on the tested components; p-value set to 1 and the null kept",
         )
-    return TestResult(statistic, df, float(p_values[0]), bool(code == REJECT), level, d[0], w[0], idx, warnings)
+    return TestResult(statistic, df, p_values[0], code == REJECT, level, d[0], w[0], idx, warnings)
 
 
 def run_test(series, p, null, level=0.05):
