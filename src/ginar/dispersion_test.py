@@ -19,11 +19,10 @@ W to selected components (e.g. thinning lags only), with degrees of freedom
 equal to the number of tested components.
 
 Every test runs as a stack, one series as a block of one, and ``_run`` gives
-each row an outcome code once: KEEP, REJECT, NEGATIVE (T < 0, null kept) or a
-failure, SINGULAR_GRAM, NONFINITE, SINGULAR_W (by W_hat's eigenvalues, or W_hat
-cancelled to ``EIG_RTOL`` times its terms) or OVERFLOW. A block (R, n) returns a
-``BlockResult``, each row bit for bit its series tested alone; one series returns
-a ``TestResult`` or raises its failure as a ``TestError``.
+each row one code: KEEP, REJECT, NEGATIVE (T < 0, null kept) or a failure,
+SINGULAR_GRAM, NONFINITE, SINGULAR_W (by its eigenvalues, or W_hat cancelled to
+``EIG_RTOL`` times its scale) or OVERFLOW. A block (R, n) gets a ``BlockResult``,
+each row bit for bit its series alone; one series a ``TestResult`` or ``TestError``.
 """
 
 from dataclasses import dataclass
@@ -147,10 +146,10 @@ def build_K(null, mu_hat):
 
 
 def assemble_W(k, v11, v12, v22):
-    """Delta-method covariance of kappa(mu_hat) - theta_hat.
+    """Delta-method covariance W of kappa(mu_hat) - theta_hat, and its scale.
 
-    W = K v11 K - K v12 - v21 K + v22 with K = diag(k), for the (p+1)
-    blocks of the joint covariance V (v21 = v12'), or per row of stacks.
+    W = K v11 K - K v12 - v21 K + v22 with K = diag(k), for the (p+1) blocks of the joint covariance V
+    (v21 = v12'), or per row of stacks; its scale |K v11 K| + |K v12| + |v21 K| + |v22| sums their magnitudes.
     """
     k = np.asarray(k, dtype=np.float64)
     shape = k.shape + k.shape[-1:]
@@ -158,8 +157,9 @@ def assemble_W(k, v11, v12, v22):
         if np.shape(block) != shape:
             raise ValueError(f"{name} must have shape {shape} to match k, got shape {np.shape(block)}")
     column = k[..., :, None]
-    kv12 = column * v12
-    return column * v11 * k[..., None, :] - kv12 - np.swapaxes(kv12, -1, -2) + v22
+    kv11k, kv12 = column * v11 * k[..., None, :], column * v12
+    a12 = np.abs(kv12)
+    return kv11k - kv12 - np.swapaxes(kv12, -1, -2) + v22, np.abs(kv11k) + a12 + np.swapaxes(a12, -1, -2) + np.abs(v22)
 
 
 def quadratic_forms(discrepancies, w_hats, n_eff):
@@ -203,12 +203,12 @@ def _run(series, p, null, indices, level):
     moments = estimate_moment_matrices(fit)
     with np.errstate(over="ignore", invalid="ignore"):  # quadratic_forms flags non-finite d or W
         kappa_vals, k, k_warnings = build_K(null, fit.mu_hat)
-        w = assemble_W(k, moments.v11, moments.v12, moments.v22)[..., sel[:, None], sel].reshape(-1, df, df)
-        terms = assemble_W(np.abs(k), np.abs(moments.v11), -np.abs(moments.v12), np.abs(moments.v22))
-    d = (kappa_vals - fit.theta_hat)[..., sel].reshape(-1, df)
-    statistics, outcomes = quadratic_forms(d, w, fit.n_eff)
-    # a W cancelled to rounding noise against the terms it sums is singular, whatever its spectrum says
-    cancelled = np.abs(w).max(axis=(1, 2)) <= EIG_RTOL * terms[..., sel[:, None], sel].reshape(len(w), -1).max(axis=1)
+        w, scale = assemble_W(k, moments.v11, moments.v12, moments.v22)
+    d = kappa_vals - fit.theta_hat
+    if df < p + 1:
+        d, w, scale = d[..., sel], w[..., sel[:, None], sel], scale[..., sel[:, None], sel]
+    statistics, outcomes = quadratic_forms(d.reshape(-1, df), w.reshape(-1, df, df), fit.n_eff)
+    cancelled = np.abs(w).max(axis=(-2, -1)) <= EIG_RTOL * scale.max(axis=(-2, -1))
     outcomes[cancelled & (outcomes != NONFINITE)] = SINGULAR_W
     if fit.singular_gram is not None:
         outcomes[fit.singular_gram] = SINGULAR_GRAM
@@ -229,7 +229,7 @@ def _run(series, p, null, indices, level):
             f"test statistic {statistic:.6g} is negative because W_hat is indefinite "
             "on the tested components; p-value set to 1 and the null kept",
         )
-    return TestResult(statistic, df, p_values[0], code == REJECT, level, d[0], w[0], idx, warnings)
+    return TestResult(statistic, df, p_values[0], code == REJECT, level, d, w, idx, warnings)
 
 
 def run_test(series, p, null, level=0.05):

@@ -90,18 +90,22 @@ class TestAssembleW:
         rng = np.random.default_rng(2)
         v = rng.normal(size=(4, 4))
         v = v @ v.T + 4.0 * np.eye(4)
-        w = assemble_W(np.ones(2), *blocks(v))
+        w, scale = assemble_W(np.ones(2), *blocks(v))
         expected = v[:2, :2] - v[:2, 2:] - v[2:, :2] + v[2:, 2:]
         assert_allclose(w, expected)
+        assert_allclose(scale, np.abs(v[:2, :2]) + np.abs(v[:2, 2:]) + np.abs(v[2:, :2]) + np.abs(v[2:, 2:]))
 
     def test_zero_K_leaves_v22(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=(4, 4))
         v = v @ v.T + 4.0 * np.eye(4)
-        assert_allclose(assemble_W(np.zeros(2), *blocks(v)), v[2:, 2:])
+        w, scale = assemble_W(np.zeros(2), *blocks(v))
+        assert_allclose(w, v[2:, 2:])
+        assert_allclose(scale, np.abs(v[2:, 2:]))
 
     def test_matches_diagonal_matrix_form(self):
-        # the elementwise form equals K v11 K - K v12 - v21 K + v22 bit for bit
+        # the elementwise forms equal K v11 K - K v12 - v21 K + v22 and the sum of its terms' magnitudes bit
+        # for bit
         rng = np.random.default_rng(5)
         for dim in (2, 3, 4):
             k = rng.normal(size=dim)
@@ -110,7 +114,9 @@ class TestAssembleW:
             v11, v12, v22 = blocks(v)
             K = np.diag(k)
             expected = K @ v11 @ K - K @ v12 - v[dim:, :dim] @ K + v22
-            assert np.array_equal(assemble_W(k, v11, v12, v22), expected)
+            scale = np.abs(K @ v11 @ K) + np.abs(K @ v12) + np.abs(v[dim:, :dim] @ K) + np.abs(v22)
+            w, w_scale = assemble_W(k, v11, v12, v22)
+            assert np.array_equal(w, expected) and np.array_equal(w_scale, scale)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -134,7 +140,7 @@ class TestAssembleW:
             v11 = theta_hat  # jm = 1, im = fitted variance
             v12 = np.mean(resid**3)
             v22 = np.mean(resid**4 - theta_hat**2)
-            w = assemble_W(np.ones(1), [[v11]], [[v12]], [[v22]])  # kappa' = 1 for Poisson
+            w, _ = assemble_W(np.ones(1), [[v11]], [[v12]], [[v22]])  # kappa' = 1 for Poisson
             w_sum += w[0, 0]
             disc[k] = np.sqrt(n) * (mu_hat - theta_hat)
         empirical = disc.var(ddof=1)
