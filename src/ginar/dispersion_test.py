@@ -208,12 +208,12 @@ def _run(series, p, null, indices, level):
     if df < p + 1:
         d, w, scale = d[..., sel], w[..., sel[:, None], sel], scale[..., sel[:, None], sel]
     statistics, outcomes = quadratic_forms(d.reshape(-1, df), w.reshape(-1, df, df), fit.n_eff)
-    cancelled = np.abs(w).max(axis=(-2, -1)) <= EIG_RTOL * scale.max(axis=(-2, -1))
-    outcomes[cancelled & (outcomes != NONFINITE)] = SINGULAR_W
     if fit.singular_gram is not None:
         outcomes[fit.singular_gram] = SINGULAR_GRAM
     p_values, codes = [], []
-    for statistic, code in zip(statistics.tolist(), outcomes.tolist()):
+    magnitudes = zip(np.abs(w).reshape(len(outcomes), -1).tolist(), scale.reshape(len(outcomes), -1).tolist())
+    for statistic, code, (w_row, scale_row) in zip(statistics.tolist(), outcomes.tolist(), magnitudes):
+        code = SINGULAR_W if code in (KEEP, OVERFLOW) and max(w_row) <= EIG_RTOL * max(scale_row) else code
         p_values.append(np.nan if code else chi_square_survival(max(statistic, 0.0), df))
         codes.append(code or (NEGATIVE if statistic < 0.0 else REJECT if p_values[-1] <= level else KEEP))
     if fit.singular_gram is not None:
