@@ -71,8 +71,11 @@ class ExperimentGrid:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "pi_values", tuple(float(v) for v in self.pi_values))
-        object.__setattr__(self, "xi_values", tuple(float(v) for v in self.xi_values))
+        for name in ("pi_values", "xi_values"):
+            values = getattr(self, name)
+            if not all(isinstance(v, numbers.Real) for v in values):
+                raise InputError(f"{name!r} needs real numbers, got {values}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if not all(isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer()
                    for n in self.n_values):
             raise InputError(f"'n_values' needs finite whole numbers, got {self.n_values}")

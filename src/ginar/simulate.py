@@ -11,12 +11,16 @@ distribution and a burn-in stretch (default 1000 steps) is discarded, so the
 returned stretch is effectively stationary.
 
 Each thinning sum is drawn by inverse transform: one uniform maps to a count
-by binary search in the CDF row of ``thin(spec, k)``, tabulated from
-``spec.sum_pmf(k)`` once per process and shared by all paths. Counts whose
-row would be long (mean + 10 sd above 64 entries), whose law cannot be
-tabulated, or that would push the rows a path uses past one entry per step
-are drawn with ``spec.sample_sum(k, rng)`` instead. Both routes draw the
-same exact law.
+through the CDF row of ``thin(spec, k)``, tabulated from ``spec.sum_pmf(k)``
+once per process and shared by all paths. Each row carries a guide table
+(the indexed search of Chen & Asau, 1974; Devroye, 1986, III.2.4): 256
+equal buckets of [0, 1), each holding the count every uniform in it maps to,
+or -1 when a CDF entry splits the bucket. A draw is one list index, and only
+a split bucket falls back to binary search in the row, so the counts are
+those of ``bisect_right`` bit for bit. Counts whose row would be long
+(mean + 10 sd above 64 entries), whose law cannot be tabulated, or that
+would push the rows a path uses past one entry per step are drawn with
+``spec.sample_sum(k, rng)`` instead. Both routes draw the same exact law.
 
 Reproducibility: ``simulate`` is a pure function of (model, config); the
 seed drives a dedicated PCG64 stream, so identical inputs give bitwise
@@ -49,6 +53,11 @@ __all__ = [
 # Counts whose thinning sum has mean + 10 sd above this are drawn with
 # ``sample_sum`` instead of a table row.
 _ROW_LIMIT = 64
+# Buckets per guide: a power of two, so floor(u * _GUIDE) is exact, and at
+# most 256, so every bucket index is one of CPython's cached small ints and
+# listing a path's indexes allocates none.
+_GUIDE = 256
+_NO_GUIDE = [-1] * _GUIDE  # the guide of every count drawn with sample_sum
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -122,14 +131,23 @@ class SimConfig:
 
 @functools.lru_cache(maxsize=1024)
 def _table_row(spec, count):
-    """CDF of ``thin(spec, count)`` as a tuple, or None when ``sum_pmf`` cannot
-    tabulate it; built once per process and shared read-only by every path."""
+    """CDF of ``thin(spec, count)`` as a tuple and its guide, or None when
+    ``sum_pmf`` cannot tabulate it; built once per process and shared
+    read-only by every path.
+
+    ``guide[k]`` is ``bisect_right(cdf, u)`` for every u in bucket
+    ``[k, k + 1) / _GUIDE``, or -1 when a CDF entry lies strictly inside the
+    bucket, so that the draw depends on where u falls in it.
+    """
     pmf = spec.sum_pmf(count)
     if pmf is None:
         return None
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0  # the row holds all the mass, so a draw never leaves it
-    return tuple(cdf.tolist())
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    low = np.searchsorted(cdf, edges[:-1], side="right")  # entries <= the lower edge
+    high = np.searchsorted(cdf, edges[1:], side="left")  # entries < the upper edge
+    return tuple(cdf.tolist()), np.where(low == high, low, -1).tolist()
 
 
 def sample_path(model, n, burn_in, rng):
@@ -142,6 +160,12 @@ def sample_path(model, n, burn_in, rng):
     these, in (step, lag) order. The path may take at most ``burn_in + n``
     table entries; the rows themselves are shared by every path. Lags 1 and
     2 ride the step loop's ``zip``; lags 3..p follow them in an inner loop.
+
+    A uniform ``u`` maps to a count by one index into its row's guide,
+    ``guide[floor(u * _GUIDE)]``. A -1 there (a CDF entry splits that bucket)
+    sends ``u`` to ``bisect_right`` on the CDF, so every count is the one
+    ``bisect_right`` alone would give. A count drawn with ``sample_sum`` has
+    the all-(-1) guide and no CDF, so each lag's hot path tests one sign.
     """
     require_int("series length", n, 1)
     require_int("burn-in", burn_in, 0)
@@ -152,54 +176,75 @@ def sample_path(model, n, burn_in, rng):
     path = model.innovation.sample_array(p, rng).tolist()
     eps = model.innovation.sample_array(steps, rng).tolist()
     uniforms = rng.random(steps * p)
+    buckets = (uniforms * _GUIDE).astype(np.int64)  # exact: _GUIDE is a power of two
     budget = steps
 
-    def first_sight(spec, rows, count):
+    def first_sight(spec, guides, cdfs, count):
         # A lag takes the row of a new count, charged to the budget, when its
         # mean + 10 sd length estimate fits both _ROW_LIMIT and the budget;
-        # else None, and the count is drawn with sample_sum.
+        # else the count gets no CDF and the all-(-1) guide, and sample_sum.
         nonlocal budget
         size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
-        row = rows[count] = _table_row(spec, count) if size <= _ROW_LIMIT and size <= budget else None
-        if row is not None:
-            budget -= len(row)
-        return row
+        row = _table_row(spec, count) if size <= _ROW_LIMIT and size <= budget else None
+        if row is None:
+            row = None, _NO_GUIDE
+        else:
+            budget -= len(row[0])
+        cdfs[count], guides[count] = row
+        return row[1]
 
-    spec1, rows1, x = model.counting[0], {}, path[-1]
+    spec1, guides1, cdfs1, x = model.counting[0], {}, {}, path[-1]
     if p == 1:
-        for z, u in zip(eps, uniforms.tolist()):
+        for z, k, u in zip(eps, buckets.tolist(), uniforms.tolist()):
             if x:
                 try:
-                    row = rows1[x]
+                    g = guides1[x][k]
                 except KeyError:
-                    row = first_sight(spec1, rows1, x)
-                z += spec1.sample_sum(x, rng) if row is None else bisect_right(row, u)
+                    g = first_sight(spec1, guides1, cdfs1, x)[k]
+                if g < 0:
+                    cdf = cdfs1[x]
+                    g = spec1.sample_sum(x, rng) if cdf is None else bisect_right(cdf, u)
+                z += g
             path.append(z)
             x = z
         return np.array(path[1 + burn_in :], dtype=np.int64)
-    spec2, rows2, x2 = model.counting[1], {}, path[-2]
-    rest = [(lag, spec, {}, uniforms[lag - 1 :: p].tolist()) for lag, spec in enumerate(model.counting[2:], 3)]
-    for z, u, u2 in zip(eps, uniforms[::p].tolist(), uniforms[1::p].tolist()):
+    spec2, guides2, cdfs2, x2 = model.counting[1], {}, {}, path[-2]
+    rest = [
+        (lag, spec, {}, {}, buckets[lag - 1 :: p].tolist(), uniforms[lag - 1 :: p].tolist())
+        for lag, spec in enumerate(model.counting[2:], 3)
+    ]
+    lanes = zip(eps, buckets[::p].tolist(), uniforms[::p].tolist(), buckets[1::p].tolist(), uniforms[1::p].tolist())
+    for z, k, u, k2, u2 in lanes:
         if x:
             try:
-                row = rows1[x]
+                g = guides1[x][k]
             except KeyError:
-                row = first_sight(spec1, rows1, x)
-            z += spec1.sample_sum(x, rng) if row is None else bisect_right(row, u)
+                g = first_sight(spec1, guides1, cdfs1, x)[k]
+            if g < 0:
+                cdf = cdfs1[x]
+                g = spec1.sample_sum(x, rng) if cdf is None else bisect_right(cdf, u)
+            z += g
         if x2:
             try:
-                row = rows2[x2]
+                g = guides2[x2][k2]
             except KeyError:
-                row = first_sight(spec2, rows2, x2)
-            z += spec2.sample_sum(x2, rng) if row is None else bisect_right(row, u2)
-        for lag, spec, rows, us in rest:
+                g = first_sight(spec2, guides2, cdfs2, x2)[k2]
+            if g < 0:
+                cdf = cdfs2[x2]
+                g = spec2.sample_sum(x2, rng) if cdf is None else bisect_right(cdf, u2)
+            z += g
+        for lag, spec, guides, cdfs, ks, us in rest:
             count = path[-lag]
             if count:
+                t = len(path) - p
                 try:
-                    row = rows[count]
+                    g = guides[count][ks[t]]
                 except KeyError:
-                    row = first_sight(spec, rows, count)
-                z += spec.sample_sum(count, rng) if row is None else bisect_right(row, us[len(path) - p])
+                    g = first_sight(spec, guides, cdfs, count)[ks[t]]
+                if g < 0:
+                    cdf = cdfs[count]
+                    g = spec.sample_sum(count, rng) if cdf is None else bisect_right(cdf, us[t])
+                z += g
         path.append(z)
         x2, x = x, z
     return np.array(path[p + burn_in :], dtype=np.int64)

@@ -57,6 +57,9 @@ class TestGridValidation:
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (np.float32(500.5),)},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": ("500",)},
             {"pi_values": (0.3,), "xi_values": (0.0,), "n_values": (100,), "level": "0.05"},
+            # pi and xi must be numbers too: these two ran as pi = 0.3 and xi = 0.1
+            {"pi_values": ("0.3",), "xi_values": (0.0,), "n_values": (100,)},
+            {"pi_values": (0.3,), "xi_values": ("0.1",), "n_values": (100,)},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):

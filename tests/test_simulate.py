@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import importlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,14 +18,19 @@ from ginar.distributions import (
 )
 from ginar.errors import InputError
 from ginar.simulate import (
+    _GUIDE,
     GinarModel,
     SimConfig,
     check_stationarity,
+    _table_row,
     read_series,
     sample_path,
     simulate,
     write_series,
 )
+
+
+simulate_module = importlib.import_module("ginar.simulate")  # ``ginar.simulate`` is the function
 
 
 def bernoulli_poisson_model(mu=0.3, rate=1.0):
@@ -343,6 +350,63 @@ class TestSharedRows:
         calls.clear()
         sample_path(model, 3, 1000, np.random.default_rng(9))
         assert calls == []
+
+
+# every counting spec of the golden bank, once
+GUIDE_SPECS = list(dict.fromkeys(spec for counting, _, _ in GOLDEN_BANK.values() for spec in counting))
+
+
+class TestGuide:
+    """A row's guide gives bisect_right's count wherever it holds one."""
+
+    @pytest.mark.parametrize("spec", GUIDE_SPECS, ids=repr)
+    def test_guide_agrees_with_bisect(self, spec):
+        uniforms = np.random.default_rng(101).random(100_000)
+        buckets = (uniforms * _GUIDE).astype(np.int64)
+        lower = np.arange(_GUIDE) / _GUIDE
+        below_upper = np.nextafter(lower + 1.0 / _GUIDE, 0.0)
+        for count in range(1, 9):
+            cdf, guide = _table_row(spec, count)
+            assert len(guide) == _GUIDE
+            # -1 exactly in the buckets an entry lies strictly inside (rounding
+            # can put the entries before the last 1.0 above 1, beyond every bucket)
+            entries = np.array([c for c in cdf if c < 1.0])
+            split = {int(c * _GUIDE) for c in entries.tolist() if c * _GUIDE % 1}
+            assert {k for k, g in enumerate(guide) if g < 0} == split
+            points = np.concatenate([lower, below_upper, entries, np.nextafter(entries, 0.0)])
+            for u in points.tolist():
+                g = guide[int(u * _GUIDE)]
+                assert g < 0 or g == bisect_right(cdf, u), (count, u)
+            # numpy's searchsorted(side="right") is bisect_right, for the random uniforms at once
+            g = np.array(guide)[buckets]
+            whole = g >= 0
+            assert_array_equal(g[whole], np.searchsorted(np.array(cdf), uniforms[whole], side="right"))
+
+    def test_split_bucket_defers_to_bisect(self, monkeypatch):
+        # Bernoulli(0.3) thins 1 to 0 below u = c (about 0.7) and to 1 from it on, so c splits its bucket
+        cdf, guide = _table_row(Bernoulli(0.3), 1)
+        c = cdf[0]
+        assert cdf == (c, 1.0) and 0.6 < c < 0.8
+        k = int(c * _GUIDE)
+        low, high = k / _GUIDE, float(np.nextafter(c, 0.0))
+        assert [bisect_right(cdf, u) for u in (low, high, c)] == [0, 0, 1]
+        assert (guide[k - 1], guide[k], guide[k + 1]) == (0, -1, 1)
+
+        class Scripted:
+            # every innovation is 1, so each step thins a count of 1; the uniforms are set
+            def poisson(self, rate, size):
+                return np.ones(size, dtype=np.int64)
+
+            def random(self, size):
+                return np.array([0.0] * (size - 3) + [low, high, c])
+
+        calls = []
+        monkeypatch.setattr(
+            simulate_module, "bisect_right", lambda row, u: calls.append(u) or bisect_right(row, u)
+        )
+        model = GinarModel(counting=(Bernoulli(0.3),), innovation=Poisson(1.0))
+        assert sample_path(model, 8, 0, Scripted()).tolist() == [1] * 7 + [2]
+        assert calls == [low, high, c]
 
 
 class TestSeriesCsv:
