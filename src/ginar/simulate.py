@@ -15,9 +15,9 @@ through the CDF row of ``thin(spec, k)``, tabulated from ``spec.sum_pmf(k)``
 once per process and shared by all paths. Each row carries a guide table
 (the indexed search of Chen & Asau, 1974; Devroye, 1986, III.2.4): 256
 equal buckets of [0, 1), each holding the count every uniform in it maps to,
-or -1 when a CDF entry splits the bucket. A draw is one list index, and only
-a split bucket falls back to binary search in the row, so the counts are
-those of ``bisect_right`` bit for bit. Counts whose row would be long
+or -1 when a CDF entry splits the bucket. A draw is one index into the
+guide, and only a split bucket falls back to binary search in the row, so
+the counts are those of ``bisect_right`` bit for bit. Counts whose row would be long
 (mean + 10 sd above 64 entries), whose law cannot be tabulated, or that
 would push the rows a path uses past one entry per step are drawn with
 ``spec.sample_sum(k, rng)`` instead. Both routes draw the same exact law.
@@ -57,7 +57,7 @@ _ROW_LIMIT = 64
 # most 256, so every bucket index is one of CPython's cached small ints and
 # listing a path's indexes allocates none.
 _GUIDE = 256
-_NO_GUIDE = [-1] * _GUIDE  # the guide of every count drawn with sample_sum
+_NO_GUIDE = (-1,) * _GUIDE  # the guide of every count drawn with sample_sum
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -131,7 +131,7 @@ class SimConfig:
 
 @functools.lru_cache(maxsize=1024)
 def _table_row(spec, count):
-    """CDF of ``thin(spec, count)`` as a tuple and its guide, or None when
+    """CDF of ``thin(spec, count)`` and its guide, both tuples, or None when
     ``sum_pmf`` cannot tabulate it; built once per process and shared
     read-only by every path.
 
@@ -147,7 +147,7 @@ def _table_row(spec, count):
     edges = np.arange(_GUIDE + 1) / _GUIDE
     low = np.searchsorted(cdf, edges[:-1], side="right")  # entries <= the lower edge
     high = np.searchsorted(cdf, edges[1:], side="left")  # entries < the upper edge
-    return tuple(cdf.tolist()), np.where(low == high, low, -1).tolist()
+    return tuple(cdf.tolist()), tuple(np.where(low == high, low, -1).tolist())
 
 
 def sample_path(model, n, burn_in, rng):
