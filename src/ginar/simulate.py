@@ -17,10 +17,11 @@ once per process and shared by all paths. Each row carries a guide table
 equal buckets of [0, 1), each holding the count every uniform in it maps to,
 or -1 when a CDF entry splits the bucket. A draw is one index into the
 guide, and only a split bucket falls back to binary search in the row, so
-the counts are those of ``bisect_right`` bit for bit. Counts whose row would be long
-(mean + 10 sd above 64 entries), whose law cannot be tabulated, or that
-would push the rows a path uses past one entry per step are drawn with
-``spec.sample_sum(k, rng)`` instead. Both routes draw the same exact law.
+the counts are those of ``bisect_right`` bit for bit. Counts whose row
+would be long (mean + 10 sd above 64 entries), whose law cannot be
+tabulated, or that would push the rows a path uses past one entry per step
+are drawn with ``spec.sample_sum(k, rng)`` instead. Both routes draw the
+same exact law.
 
 Reproducibility: ``simulate`` is a pure function of (model, config); the
 seed drives a dedicated PCG64 stream, so identical inputs give bitwise
