@@ -148,8 +148,8 @@ class MomentMatrices:
 
     @property
     def v(self):
-        """The full covariance V, assembled from its blocks."""
-        return np.block([[self.v11, self.v12], [self.v12.T, self.v22]])
+        """The full covariance V, assembled from its blocks; one V per row of a block fit."""
+        return np.block([[self.v11, self.v12], [np.swapaxes(self.v12, -1, -2), self.v22]])
 
 
 def estimate_moment_matrices(fit):

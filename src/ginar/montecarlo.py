@@ -8,12 +8,14 @@ xi > 0.
 
 Each cell builds its model and null once and cuts its replications into
 blocks of at most ``BLOCK``, each simulated path by path and tested by one
-``run_test`` call on the stacked paths, in this process or on a process
-pool. Reproducibility: every cell gets a seed derived from the master seed
-and its position in the grid, and replication k of a cell draws from the
-substream ``SeedSequence(cell_seed, spawn_key=(k,))``. A block row has the
-bits of its series tested alone (``replicate_once``), so results are
-identical across runs, block sizes and worker counts.
+``run_test`` call on the stacked paths. The blocks of every cell of a grid
+run through one ``map``: in this process for a single job, else on one
+process pool for the whole grid. Reproducibility: every cell gets a seed
+derived from the master seed and its position in the grid, and replication
+k of a cell draws from the substream ``SeedSequence(cell_seed,
+spawn_key=(k,))``. A block row has the bits of its series tested alone
+(``replicate_once``), so results are identical across runs, block sizes
+and worker counts.
 
 Replications that die in estimation (singular matrices, possible only at
 tiny sample sizes) count as failures and are excluded from the rejection
@@ -169,18 +171,26 @@ def _replicate_block(model, null, n, burn_in, level, cell_seed, ks):
 def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     """Run one grid cell; returns (rejections, failures).
 
-    The cell's model and null are built once, and its blocks run through
-    one ``map``: the built-in one for a single job, else a process pool's,
-    one task per worker. Replication k uses the substream (cell_seed, k), so
-    the result depends neither on ``jobs`` nor on the blocks, and ``jobs``
-    defaults to the CPUs this process may run on.
+    The one-cell case of a grid run: the cell's model and null are built
+    once, and its blocks run through the built-in ``map`` for a single job,
+    else a process pool's. Replication k uses the substream (cell_seed, k),
+    so the result depends neither on ``jobs`` nor on the blocks, and
+    ``jobs`` defaults to the CPUs this process may run on.
     """
-    model, null = _cell_model_and_null(pi, xi)
-    require_int("series length", n, _MIN_LENGTH)
+    return _run_cells([(pi, xi, n, cell_seed)], replications, burn_in, level, jobs)[0]
+
+
+def _run_cells(cells, replications, burn_in, level, jobs):
+    """Run cells ``(pi, xi, n, cell_seed)`` through one ``map``; returns
+    (rejections, failures) per cell, in order.
+
+    Every cell's inputs are checked and its blocks built before the map
+    starts. With more than one job, all blocks of all cells share one
+    process pool, so no cell waits for the slowest block of the one before.
+    """
     require_int("replications", replications, 1)
     require_int("burn-in", burn_in, 0)
     require_level(level)
-    require_int("cell seed", cell_seed, 0)
     if jobs is None:
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     else:
@@ -189,13 +199,28 @@ def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     # blocks of equal size, at most BLOCK, and as many for every worker
     count = min(replications, jobs * math.ceil(replications / (BLOCK * jobs)))
     blocks = [range(replications * i // count, replications * (i + 1) // count) for i in range(count)]
-    replicate = functools.partial(_replicate_block, model, null, n, burn_in, level, cell_seed)
+    replicates = []
+    for pi, xi, n, cell_seed in cells:
+        model, null = _cell_model_and_null(pi, xi)
+        require_int("series length", n, _MIN_LENGTH)
+        require_int("cell seed", cell_seed, 0)
+        replicate = functools.partial(_replicate_block, model, null, n, burn_in, level, cell_seed)
+        replicates += [replicate] * count
+    tasks = blocks * len(cells)
     if jobs == 1:
-        outcomes = np.concatenate(list(map(replicate, blocks)))
+        outcomes = list(map(_apply, replicates, tasks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = np.concatenate(list(pool.map(replicate, blocks, chunksize=math.ceil(count / jobs))))
-    return int(np.count_nonzero(outcomes == REJECT)), int(np.count_nonzero(outcomes >= SINGULAR_GRAM))
+            outcomes = list(pool.map(_apply, replicates, tasks, chunksize=math.ceil(count / jobs)))
+    results = []
+    for i in range(len(cells)):
+        cell = np.concatenate(outcomes[i * count : (i + 1) * count])
+        results.append((int(np.count_nonzero(cell == REJECT)), int(np.count_nonzero(cell >= SINGULAR_GRAM))))
+    return results
+
+
+def _apply(replicate, block):
+    return replicate(block)
 
 
 def _derive_cell_seed(master_seed, cell_index):
@@ -203,13 +228,11 @@ def _derive_cell_seed(master_seed, cell_index):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_cells(grid, cells, jobs):
+def _run_grid(grid, cells, jobs):
+    seeded = [(pi, xi, n, _derive_cell_seed(grid.master_seed, index)) for index, (pi, xi, n) in enumerate(cells)]
+    counts = _run_cells(seeded, grid.replications, grid.burn_in, grid.level, jobs)
     rows = []
-    for index, (pi, xi, n) in enumerate(cells):
-        cell_seed = _derive_cell_seed(grid.master_seed, index)
-        rejections, failures = run_cell(
-            pi, xi, n, grid.replications, grid.burn_in, grid.level, cell_seed, jobs=jobs
-        )
+    for (pi, xi, n), (rejections, failures) in zip(cells, counts):
         kept = grid.replications - failures
         rate = rejections / kept if kept > 0 else float("nan")
         rows.append(CellResult(pi, xi, n, rejections, failures, rate))
@@ -219,7 +242,7 @@ def _run_cells(grid, cells, jobs):
 def run_size_experiment(grid, jobs=None):
     """Rejection rates under the null: the pi grid with xi forced to 0."""
     cells = [(pi, 0.0, n) for pi in grid.pi_values for n in grid.n_values]
-    return _run_cells(grid, cells, jobs)
+    return _run_grid(grid, cells, jobs)
 
 
 def run_power_experiment(grid, jobs=None):
@@ -228,7 +251,7 @@ def run_power_experiment(grid, jobs=None):
     if not xi_values:
         raise InputError("power experiment needs at least one xi > 0 in the grid")
     cells = [(pi, xi, n) for pi in grid.pi_values for n in grid.n_values for xi in xi_values]
-    return _run_cells(grid, cells, jobs)
+    return _run_grid(grid, cells, jobs)
 
 
 _GRID_KEYS = {

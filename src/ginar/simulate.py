@@ -143,7 +143,9 @@ def _table_row(spec, count):
     pmf = spec.sum_pmf(count)
     if pmf is None:
         return None
-    cdf = np.cumsum(pmf)
+    # rounding can carry the sum above 1 before the last entry: clip it, and
+    # keep the row's length, which the path's table budget counts
+    cdf = np.minimum(np.cumsum(pmf), 1.0)
     cdf[-1] = 1.0  # the row holds all the mass, so a draw never leaves it
     edges = np.arange(_GUIDE + 1) / _GUIDE
     low = np.searchsorted(cdf, edges[:-1], side="right")  # entries <= the lower edge

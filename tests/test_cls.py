@@ -207,6 +207,16 @@ class TestMomentMatrices:
         response, design = build_regressors(series, 1)
         assert np.array_equal(fit.residuals, response - design @ fit.mu_hat)
 
+    @pytest.mark.parametrize("reps", [2, 3])
+    def test_block_v_matches_each_series_alone(self, reps):
+        # at R = p + 1 = 2 a transpose of every axis of v12 gave a wrong
+        # lower-left block, and at R = 3 it could not be assembled at all
+        series = [simulated_series(300, 50 + k) for k in range(reps)]
+        block = estimate_moment_matrices(fit_cls(np.stack(series), 1)).v
+        assert block.shape == (reps, 4, 4)
+        for row, one in zip(block, series):
+            assert np.array_equal(row, estimate_moment_matrices(fit_cls(one, 1)).v)
+
     def test_constant_regressors_singular(self):
         # the Gram matrix is inverted once, in fit_cls, before any moment matrix
         with pytest.raises(EstimationError):

@@ -233,6 +233,65 @@ class TestExperiments:
             assert higher >= lower - 0.04
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The pools started through ``montecarlo.ProcessPoolExecutor``, counted."""
+    starts = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+POWER_GRID = ExperimentGrid(
+    pi_values=(0.2, 0.5),
+    xi_values=(0.1, 0.3),
+    n_values=(40, 90),
+    replications=12,
+    burn_in=30,
+    master_seed=31,
+)
+
+
+class TestDispatch:
+    """All blocks of a grid go through one map: one pool at jobs > 1, none at jobs = 1."""
+
+    @pytest.mark.parametrize("experiment", [run_size_experiment, run_power_experiment])
+    def test_one_pool_per_grid(self, pool_starts, experiment):
+        table = experiment(POWER_GRID, jobs=2)
+        assert len(table.rows) == (4 if experiment is run_size_experiment else 8)
+        assert len(pool_starts) == 1
+
+    @pytest.mark.parametrize("experiment", [run_size_experiment, run_power_experiment])
+    def test_single_job_starts_no_pool(self, pool_starts, experiment):
+        experiment(POWER_GRID, jobs=1)
+        assert pool_starts == []
+
+    @pytest.mark.parametrize("experiment", [run_size_experiment, run_power_experiment])
+    @pytest.mark.parametrize("jobs", [0, 1.5, -2, "2"])
+    def test_bad_jobs_refused_before_pool_starts(self, pool_starts, experiment, jobs):
+        with pytest.raises(InputError):
+            experiment(POWER_GRID, jobs=jobs)
+        assert pool_starts == []
+
+    def test_power_table_independent_of_jobs(self, pool_starts):
+        serial = run_power_experiment(POWER_GRID, jobs=1).csv_text()
+        assert run_power_experiment(POWER_GRID, jobs=2).csv_text() == serial
+        assert len(serial.splitlines()) == 9 and len(pool_starts) == 1
+
+    def test_grid_cells_match_run_cell(self):
+        # cell i of a grid is run_cell on the seed derived from (master seed, i)
+        table = run_power_experiment(POWER_GRID, jobs=2)
+        for index, row in enumerate(table.rows):
+            seed = montecarlo._derive_cell_seed(POWER_GRID.master_seed, index)
+            expected = run_cell(row.pi, row.xi, row.n, 12, 30, 0.05, cell_seed=seed, jobs=1)
+            assert (row.rejections, row.failures) == expected
+
+
 class TestConfigParsing:
     GOOD = """
     # size study grid

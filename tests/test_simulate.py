@@ -368,8 +368,9 @@ class TestGuide:
         for count in range(1, 9):
             cdf, guide = _table_row(spec, count)
             assert len(guide) == _GUIDE
-            # -1 exactly in the buckets an entry lies strictly inside (rounding
-            # can put the entries before the last 1.0 above 1, beyond every bucket)
+            # sorted and within [0, 1], though a rounded sum can pass 1 before the last entry
+            assert 0.0 <= cdf[0] and all(a <= b for a, b in zip(cdf, cdf[1:])) and cdf[-1] == 1.0
+            # -1 exactly in the buckets an entry lies strictly inside
             entries = np.array([c for c in cdf if c < 1.0])
             split = {int(c * _GUIDE) for c in entries.tolist() if c * _GUIDE % 1}
             assert {k for k, g in enumerate(guide) if g < 0} == split
