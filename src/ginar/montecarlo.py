@@ -212,11 +212,10 @@ def _run_cells(cells, replications, burn_in, level, jobs):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_apply, replicates, tasks, chunksize=math.ceil(count / jobs)))
-    results = []
-    for i in range(len(cells)):
-        cell = np.concatenate(outcomes[i * count : (i + 1) * count])
-        results.append((int(np.count_nonzero(cell == REJECT)), int(np.count_nonzero(cell >= SINGULAR_GRAM))))
-    return results
+    outcomes = np.concatenate(outcomes).reshape(len(cells), replications)
+    rejections = np.count_nonzero(outcomes == REJECT, axis=1).tolist()
+    failures = np.count_nonzero(outcomes >= SINGULAR_GRAM, axis=1).tolist()
+    return list(zip(rejections, failures))
 
 
 def _apply(replicate, block):
