@@ -25,6 +25,7 @@ getting the bits of its series fitted alone; a block fit flags singular
 Gram matrices in ``singular_gram`` and carries no warning text.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ def build_regressors(series, p):
         raise InputError(f"series length {n} too short for order {p}")
     if z.dtype.kind not in "iufO":  # bool, complex and string series are not counts
         raise InputError(f"series values must be nonnegative integers, got dtype {z.dtype}")
+    if z.dtype.kind == "O":  # nor are bools, strings or other objects mixed into a series
+        for value in z.flat:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"series values must be nonnegative integers, got {value!r}")
     counts = z.astype(np.float64)
     if np.any(counts < 0) or (z.dtype.kind not in "iu" and np.any(counts != np.floor(counts))):
         raise InputError("series values must be nonnegative integers")

@@ -16,8 +16,9 @@ once per process and shared by all paths. Each row carries a guide table
 (the indexed search of Chen & Asau, 1974; Devroye, 1986, III.2.4): 256
 equal buckets of [0, 1), each holding the count every uniform in it maps to,
 or -1 when a CDF entry splits the bucket. A draw is one index into the
-guide, and only a split bucket falls back to binary search in the row, so
-the counts are those of ``bisect_right`` bit for bit. Counts whose row
+guide, by the uniform's bucket (one byte per uniform), and only a split
+bucket reads the uniform itself and falls back to binary search in the row,
+so the counts are those of ``bisect_right`` bit for bit. Counts whose row
 would be long (mean + 10 sd above 64 entries), whose law cannot be
 tabulated, or that would push the rows a path uses past one entry per step
 are drawn with ``spec.sample_sum(k, rng)`` instead. Both routes draw the
@@ -54,11 +55,19 @@ __all__ = [
 # Counts whose thinning sum has mean + 10 sd above this are drawn with
 # ``sample_sum`` instead of a table row.
 _ROW_LIMIT = 64
-# Buckets per guide: a power of two, so floor(u * _GUIDE) is exact, and at
-# most 256, so every bucket index is one of CPython's cached small ints and
-# listing a path's indexes allocates none.
+# Buckets per guide: a power of two, so floor(u * _GUIDE) is exact, and 256,
+# so every bucket index fits a byte and a path's indexes are one bytes object.
 _GUIDE = 256
 _NO_GUIDE = (-1,) * _GUIDE  # the guide of every count drawn with sample_sum
+_NO_ROW = None, _NO_GUIDE
+# Rows kept by _table_row, and counts kept by _spec_rows for each of its
+# _SPECS latest specs.
+_ROW_CACHE = 1024
+_SPECS = 4
+# A lag's guides are a list indexed by count below this, with () for a count
+# not yet met; larger counts are looked up in the lag's dict alone, so no
+# path lists millions of counts.
+_FAR = 2**16
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -130,7 +139,7 @@ class SimConfig:
         require_int("seed", self.seed, 0, 2**64)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=_ROW_CACHE)
 def _table_row(spec, count):
     """CDF of ``thin(spec, count)`` and its guide, both tuples, or None when
     ``sum_pmf`` cannot tabulate it; built once per process and shared
@@ -153,6 +162,17 @@ def _table_row(spec, count):
     return tuple(cdf.tolist()), tuple(np.where(low == high, low, -1).tolist())
 
 
+@functools.lru_cache(maxsize=_SPECS)
+def _spec_rows(spec):
+    """Dict ``count -> (size estimate, row)`` of ``spec``, where ``row`` is
+    ``_table_row``'s, or None for a count drawn with ``sample_sum`` whatever
+    the budget. Paths fill it with at most ``_ROW_CACHE`` counts and look it
+    up once per lag, so a count an earlier path met costs no spec hash, row
+    lookup or estimate.
+    """
+    return {}
+
+
 def sample_path(model, n, burn_in, rng):
     """Generate ``n`` post-burn-in values of the recursion with caller's rng.
 
@@ -165,10 +185,14 @@ def sample_path(model, n, burn_in, rng):
     2 ride the step loop's ``zip``; lags 3..p follow them in an inner loop.
 
     A uniform ``u`` maps to a count by one index into its row's guide,
-    ``guide[floor(u * _GUIDE)]``. A -1 there (a CDF entry splits that bucket)
-    sends ``u`` to ``bisect_right`` on the CDF, so every count is the one
+    ``guide[floor(u * _GUIDE)]``, the bucket being one byte of a bytes
+    object made for the whole path. A -1 there (a CDF entry splits that
+    bucket) reads ``u`` itself, as ``float(uniforms[t * p + i])``, and sends
+    it to ``bisect_right`` on the CDF, so every count is the one
     ``bisect_right`` alone would give. A count drawn with ``sample_sum`` has
     the all-(-1) guide and no CDF, so each lag's hot path tests one sign.
+    Each lag lists its guides by count, ``()`` for a count not yet met, so a
+    first sight is the ``IndexError`` of that index.
     """
     require_int("series length", n, 1)
     require_int("burn-in", burn_in, 0)
@@ -179,74 +203,102 @@ def sample_path(model, n, burn_in, rng):
     path = model.innovation.sample_array(p, rng).tolist()
     eps = model.innovation.sample_array(steps, rng).tolist()
     uniforms = rng.random(steps * p)
-    buckets = (uniforms * _GUIDE).astype(np.int64)  # exact: _GUIDE is a power of two
+    buckets = (uniforms * _GUIDE).astype(np.uint8).tobytes()  # exact: _GUIDE is 256 and u < 1
     budget = steps
 
-    def first_sight(spec, guides, cdfs, count):
+    def first_sight(spec, rows, guides, met, count):
         # A lag takes the row of a new count, charged to the budget, when its
         # mean + 10 sd length estimate fits both _ROW_LIMIT and the budget;
         # else the count gets no CDF and the all-(-1) guide, and sample_sum.
+        # ``rows`` (the spec's _spec_rows) keeps the estimate and the row of
+        # counts earlier paths met; the budget is this path's own.
         nonlocal budget
-        size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
-        row = _table_row(spec, count) if size <= _ROW_LIMIT and size <= budget else None
-        if row is None:
-            row = None, _NO_GUIDE
+        if count >= _FAR and count in met:  # met before, though not listed
+            return met[count][1]
+        entry = rows.get(count)
+        if entry is None:
+            size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
+            if size > _ROW_LIMIT or size <= budget:  # the same decision for any path
+                entry = size, _table_row(spec, count) if size <= _ROW_LIMIT else None
+                if len(rows) < _ROW_CACHE:
+                    rows[count] = entry
+            else:
+                entry = size, None  # refused for this path's budget alone
+        size, row = entry
+        if row is None or size > budget:
+            row = _NO_ROW
         else:
             budget -= len(row[0])
-        cdfs[count], guides[count] = row
+        met[count] = row
+        if count < _FAR:
+            if count >= len(guides):
+                guides.extend([()] * (count + 1 - len(guides)))
+            guides[count] = row[1]
         return row[1]
 
-    spec1, guides1, cdfs1, x = model.counting[0], {}, {}, path[-1]
+    # per lag: its spec, _spec_rows, guides by count and the (cdf, guide) of every count met
+    spec1, rows1, guides1, met1, x = model.counting[0], _spec_rows(model.counting[0]), [], {}, path[-1]
     if p == 1:
-        for z, k, u in zip(eps, buckets.tolist(), uniforms.tolist()):
+        for z, k in zip(eps, buckets):
             if x:
                 try:
                     g = guides1[x][k]
-                except KeyError:
-                    g = first_sight(spec1, guides1, cdfs1, x)[k]
+                except IndexError:
+                    g = first_sight(spec1, rows1, guides1, met1, x)[k]
                 if g < 0:
-                    cdf = cdfs1[x]
-                    g = spec1.sample_sum(x, rng) if cdf is None else bisect_right(cdf, u)
+                    cdf = met1[x][0]
+                    if cdf is None:
+                        g = spec1.sample_sum(x, rng)
+                    else:
+                        g = bisect_right(cdf, float(uniforms[len(path) - 1]))
                 z += g
             path.append(z)
             x = z
         return np.array(path[1 + burn_in :], dtype=np.int64)
-    spec2, guides2, cdfs2, x2 = model.counting[1], {}, {}, path[-2]
+    spec2, rows2, guides2, met2, x2 = model.counting[1], _spec_rows(model.counting[1]), [], {}, path[-2]
     rest = [
-        (lag, spec, {}, {}, buckets[lag - 1 :: p].tolist(), uniforms[lag - 1 :: p].tolist())
+        (lag, spec, _spec_rows(spec), [], {}, buckets[lag - 1 :: p])
         for lag, spec in enumerate(model.counting[2:], 3)
     ]
-    lanes = zip(eps, buckets[::p].tolist(), uniforms[::p].tolist(), buckets[1::p].tolist(), uniforms[1::p].tolist())
-    for z, k, u, k2, u2 in lanes:
+    for z, k, k2 in zip(eps, buckets[::p], buckets[1::p]):
         if x:
             try:
                 g = guides1[x][k]
-            except KeyError:
-                g = first_sight(spec1, guides1, cdfs1, x)[k]
+            except IndexError:
+                g = first_sight(spec1, rows1, guides1, met1, x)[k]
             if g < 0:
-                cdf = cdfs1[x]
-                g = spec1.sample_sum(x, rng) if cdf is None else bisect_right(cdf, u)
+                cdf = met1[x][0]
+                if cdf is None:
+                    g = spec1.sample_sum(x, rng)
+                else:
+                    g = bisect_right(cdf, float(uniforms[(len(path) - p) * p]))
             z += g
         if x2:
             try:
                 g = guides2[x2][k2]
-            except KeyError:
-                g = first_sight(spec2, guides2, cdfs2, x2)[k2]
+            except IndexError:
+                g = first_sight(spec2, rows2, guides2, met2, x2)[k2]
             if g < 0:
-                cdf = cdfs2[x2]
-                g = spec2.sample_sum(x2, rng) if cdf is None else bisect_right(cdf, u2)
+                cdf = met2[x2][0]
+                if cdf is None:
+                    g = spec2.sample_sum(x2, rng)
+                else:
+                    g = bisect_right(cdf, float(uniforms[(len(path) - p) * p + 1]))
             z += g
-        for lag, spec, guides, cdfs, ks, us in rest:
+        for lag, spec, rows, guides, met, ks in rest:
             count = path[-lag]
             if count:
                 t = len(path) - p
                 try:
                     g = guides[count][ks[t]]
-                except KeyError:
-                    g = first_sight(spec, guides, cdfs, count)[ks[t]]
+                except IndexError:
+                    g = first_sight(spec, rows, guides, met, count)[ks[t]]
                 if g < 0:
-                    cdf = cdfs[count]
-                    g = spec.sample_sum(count, rng) if cdf is None else bisect_right(cdf, us[t])
+                    cdf = met[count][0]
+                    if cdf is None:
+                        g = spec.sample_sum(count, rng)
+                    else:
+                        g = bisect_right(cdf, float(uniforms[t * p + lag - 1]))
                 z += g
         path.append(z)
         x2, x = x, z

@@ -1,9 +1,13 @@
-"""Reference formulas the package does not run, kept next to the tests that
-check the package against them."""
+"""Reference formulas and a reference sampler the package does not run, kept
+next to the tests that check the package against them."""
+
+import math
+from bisect import bisect_right
 
 import numpy as np
 
 from ginar.numerics import invert
+from ginar.simulate import _ROW_LIMIT, _table_row
 
 
 def assemble_V_general(jm, jv, jvm, im, imv, iv):
@@ -30,3 +34,36 @@ def assemble_V_general(jm, jv, jvm, im, imv, iv):
     core = iv + jvm @ jm_inv @ im @ jm_inv @ jvm.T - imv.T @ jm_inv @ jvm.T - jvm @ jm_inv @ imv
     v22 = jv_inv @ core @ jv_inv
     return np.block([[v11, v12], [v12.T, v22]])
+
+
+def reference_path(model, n, burn_in, rng):
+    """``sample_path`` without guides: every table draw is ``bisect_right`` on
+    the ``_table_row`` CDF of its count.
+
+    The stream layout, the row budget of one entry per step, charged at each
+    lag's first sight of a count, and the ``sample_sum`` fallbacks in (step,
+    lag) order are ``sample_path``'s, so the two must agree bit for bit.
+    """
+    p = model.order
+    steps = burn_in + n
+    path = model.innovation.sample_array(p, rng).tolist()
+    eps = model.innovation.sample_array(steps, rng).tolist()
+    uniforms = rng.random(steps * p).tolist()
+    budget = steps
+    cdfs = [{} for _ in range(p)]  # per lag: count -> its CDF, or None for sample_sum
+    for t in range(steps):
+        z = eps[t]
+        for i, spec in enumerate(model.counting):
+            count = path[-1 - i]
+            if not count:
+                continue
+            if count not in cdfs[i]:
+                size = count * spec.mean + 10.0 * math.sqrt(count * spec.variance) + 1.0
+                row = _table_row(spec, count) if size <= _ROW_LIMIT and size <= budget else None
+                if row is not None:
+                    budget -= len(row[0])
+                cdfs[i][count] = row and row[0]
+            cdf = cdfs[i][count]
+            z += spec.sample_sum(count, rng) if cdf is None else bisect_right(cdf, uniforms[t * p + i])
+        path.append(z)
+    return np.array(path[p + burn_in :], dtype=np.int64)

@@ -11,7 +11,8 @@ from ginar.cls import (
     estimate_moment_matrices,
     fit_cls,
 )
-from ginar.distributions import Bernoulli, Poisson
+from ginar.dispersion_test import NullSpec, run_test
+from ginar.distributions import Bernoulli, BernoulliKappa, Poisson, PoissonKappa
 from ginar.errors import EstimationError, InputError
 from ginar.numerics import invert
 from ginar.simulate import GinarModel, SimConfig, simulate
@@ -71,6 +72,26 @@ class TestBuildRegressors:
         with pytest.raises(InputError, match=str(2**53 + 1)):
             build_regressors(series, 1)
         assert build_regressors(np.array([2**53, 0, 1]), 1)[1][0, 0] == 2.0**53
+
+    @pytest.mark.parametrize(
+        "values",
+        [["1", "2", "0", "3", "1", "2"], [True, False, True, True, False, True], [1, 2, 0, True, 1, 2]],
+        ids=["strings", "bools", "one-bool"],
+    )
+    @pytest.mark.parametrize("call", ["fit_cls", "run_test"])
+    def test_object_series_of_non_numbers_rejected(self, values, call):
+        # strings used to escape as a bare TypeError from the 2**53 check, and bools were fitted as 0/1 counts
+        series = np.array(values, dtype=object)
+        with pytest.raises(InputError, match="nonnegative integers"):
+            if call == "fit_cls":
+                fit_cls(series, 1)
+            else:
+                run_test(series, 1, NullSpec((BernoulliKappa(), PoissonKappa())))
+
+    def test_object_series_of_numbers_fits_as_counts(self):
+        values = [1, 2, 0, 3, 1, 2, 5, 0, 1]
+        mixed = np.array([np.int64(1), 2.0, 0, 3, 1, 2, 5, 0, 1], dtype=object)
+        assert_allclose(fit_cls(mixed, 1).mu_hat, fit_cls(np.array(values), 1).mu_hat, rtol=0, atol=0)
 
     @pytest.mark.parametrize("p", [0, 64, 1.5, 2.0, True])
     def test_order_outside_supported_range(self, p):

@@ -5,6 +5,8 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats
 
@@ -28,6 +30,7 @@ from ginar.simulate import (
     simulate,
     write_series,
 )
+from oracles import reference_path
 
 
 simulate_module = importlib.import_module("ginar.simulate")  # ``ginar.simulate`` is the function
@@ -408,6 +411,83 @@ class TestGuide:
         model = GinarModel(counting=(Bernoulli(0.3),), innovation=Poisson(1.0))
         assert sample_path(model, 8, 0, Scripted()).tolist() == [1] * 7 + [2]
         assert calls == [low, high, c]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_split_bucket_reads_its_own_lags_uniform(self, monkeypatch, p):
+        # Bernoulli(q) thins 1 to 0 below u = 1 - q and to 1 from it on: lag i + 1 has its own entry c_i
+        specs = (Bernoulli(0.3), Bernoulli(0.2), Bernoulli(0.1))[:p]
+        cdfs = [_table_row(spec, 1)[0] for spec in specs]
+        steps = 20  # enough row budget for every lag's count-1 row
+        uniforms = [0.0] * (steps * p)  # bucket 0 thins 1 to 0, so the counts stay 1
+        expected = []
+        for t in range(1, steps - 1):
+            for i in range(p):
+                if (t + i) % 2:
+                    # inside c_i's bucket and below c_i, distinct for each (step, lag)
+                    k = int(cdfs[i][0] * _GUIDE)
+                    u = (k + (5 * t + i) / 1000) / _GUIDE
+                    assert int(u * _GUIDE) == k and u < cdfs[i][0] and _table_row(specs[i], 1)[1][k] == -1
+                    uniforms[t * p + i] = u
+                    expected.append((i + 1, u))
+        # the last step thins each lag's 1 to 1: lag 1 by the largest double below 1, which must
+        # land in bucket 255 (a guide index, no bisect) and not wrap to bucket 0; the others by c_i
+        top = float(np.nextafter(1.0, 0.0))
+        assert int(np.array([top * _GUIDE]).astype(np.uint8)[0]) == _GUIDE - 1
+        uniforms[(steps - 1) * p :] = [top] + [cdf[0] for cdf in cdfs[1:]]
+        expected += [(i + 1, cdfs[i][0]) for i in range(1, p)]
+
+        class Scripted:
+            def poisson(self, rate, size):
+                return np.ones(size, dtype=np.int64)
+
+            def random(self, size):
+                assert size == steps * p
+                return np.array(uniforms)
+
+        calls = []
+        monkeypatch.setattr(
+            simulate_module,
+            "bisect_right",
+            lambda row, u: calls.append((cdfs.index(row) + 1, u)) or bisect_right(row, u),
+        )
+        model = GinarModel(counting=specs, innovation=Poisson(1.0))
+        assert sample_path(model, steps, 0, Scripted()).tolist() == [1] * (steps - 1) + [1 + p]
+        assert calls == expected
+
+
+# counting specs with means at most 0.3, so any three of them are stationary;
+# Bernoulli(1e-7) takes table rows even for counts beyond the guide list's _FAR
+REFERENCE_COUNTING = [
+    Bernoulli(0.3),
+    Bernoulli(0.05),
+    Bernoulli(1e-7),
+    BerG(0.1, 0.1),
+    Poisson(0.25),
+    Geometric(0.8),
+    NegBinomial(2.0, 0.9),
+    ZJExtended(0.3, 0.5),
+]
+# Poisson(5000) sends most counts to sample_sum; NegBinomial(2, 0.4) has a long tail
+REFERENCE_INNOVATIONS = [Poisson(1.0), Poisson(4.0), NegBinomial(2.0, 0.4), Poisson(5000.0)]
+
+
+class TestReferenceEngine:
+    """``sample_path`` draws what plain ``bisect_right`` on every CDF row,
+    with the same row budget and fallback order, would draw."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        counting=st.lists(st.sampled_from(REFERENCE_COUNTING), min_size=1, max_size=3),
+        innovation=st.sampled_from(REFERENCE_INNOVATIONS),
+        n=st.one_of(st.integers(1, 40), st.integers(300, 1500)),
+        burn_in=st.one_of(st.just(0), st.integers(0, 1000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counting=[Bernoulli(1e-7), Poisson(0.25)], innovation=Poisson(70000.0), n=300, burn_in=0, seed=5)
+    def test_sample_path_equals_reference(self, counting, innovation, n, burn_in, seed):
+        model = GinarModel(counting=tuple(counting), innovation=innovation)
+        expected = reference_path(model, n, burn_in, np.random.default_rng(seed))
+        assert_array_equal(sample_path(model, n, burn_in, np.random.default_rng(seed)), expected)
 
 
 class TestSeriesCsv:
