@@ -49,7 +49,8 @@ def build_regressors(series, p):
     Returns ``(response, design)``: the (n_eff,) responses and the
     (n_eff, p+1) design matrix, whose last column is identically 1, with a
     leading R axis for a block. Counts above 2**53 are refused: float64
-    holds every integer up to 2**53 exactly.
+    holds every integer up to 2**53 exactly. So are bool, complex and string
+    series, and object series holding anything but real, non-bool numbers.
     """
     z = np.asarray(series)
     if z.ndim not in (1, 2) or z.size == 0:

@@ -59,7 +59,7 @@ _ROW_LIMIT = 64
 # so every bucket index fits a byte and a path's indexes are one bytes object.
 _GUIDE = 256
 _NO_GUIDE = (-1,) * _GUIDE  # the guide of every count drawn with sample_sum
-_NO_ROW = None, _NO_GUIDE
+_NO_ROW = None, _NO_GUIDE  # (cdf, guide) of every count drawn with sample_sum
 # Rows kept by _table_row, and counts kept by _spec_rows for each of its
 # _SPECS latest specs.
 _ROW_CACHE = 1024
@@ -187,8 +187,9 @@ def sample_path(model, n, burn_in, rng):
     A uniform ``u`` maps to a count by one index into its row's guide,
     ``guide[floor(u * _GUIDE)]``, the bucket being one byte of a bytes
     object made for the whole path. A -1 there (a CDF entry splits that
-    bucket) reads ``u`` itself, as ``float(uniforms[t * p + i])``, and sends
-    it to ``bisect_right`` on the CDF, so every count is the one
+    bucket) reads ``u`` itself, ``float(uniforms[t * p + i])`` (through a
+    view of lag ``i + 1``'s uniforms), and sends it to ``bisect_right`` on
+    the CDF, so every count is the one
     ``bisect_right`` alone would give. A count drawn with ``sample_sum`` has
     the all-(-1) guide and no CDF, so each lag's hot path tests one sign.
     Each lag lists its guides by count, ``()`` for a count not yet met, so a
@@ -247,17 +248,15 @@ def sample_path(model, n, burn_in, rng):
                     g = first_sight(spec1, rows1, guides1, met1, x)[k]
                 if g < 0:
                     cdf = met1[x][0]
-                    if cdf is None:
-                        g = spec1.sample_sum(x, rng)
-                    else:
-                        g = bisect_right(cdf, float(uniforms[len(path) - 1]))
+                    g = spec1.sample_sum(x, rng) if cdf is None else bisect_right(cdf, float(uniforms[len(path) - 1]))
                 z += g
             path.append(z)
             x = z
         return np.array(path[1 + burn_in :], dtype=np.int64)
     spec2, rows2, guides2, met2, x2 = model.counting[1], _spec_rows(model.counting[1]), [], {}, path[-2]
+    us1, us2 = uniforms[::p], uniforms[1::p]  # views: lag i + 1's uniform at step t is usi[t]
     rest = [
-        (lag, spec, _spec_rows(spec), [], {}, buckets[lag - 1 :: p])
+        (lag, spec, _spec_rows(spec), [], {}, buckets[lag - 1 :: p], uniforms[lag - 1 :: p])
         for lag, spec in enumerate(model.counting[2:], 3)
     ]
     for z, k, k2 in zip(eps, buckets[::p], buckets[1::p]):
@@ -268,10 +267,7 @@ def sample_path(model, n, burn_in, rng):
                 g = first_sight(spec1, rows1, guides1, met1, x)[k]
             if g < 0:
                 cdf = met1[x][0]
-                if cdf is None:
-                    g = spec1.sample_sum(x, rng)
-                else:
-                    g = bisect_right(cdf, float(uniforms[(len(path) - p) * p]))
+                g = spec1.sample_sum(x, rng) if cdf is None else bisect_right(cdf, float(us1[len(path) - p]))
             z += g
         if x2:
             try:
@@ -280,12 +276,9 @@ def sample_path(model, n, burn_in, rng):
                 g = first_sight(spec2, rows2, guides2, met2, x2)[k2]
             if g < 0:
                 cdf = met2[x2][0]
-                if cdf is None:
-                    g = spec2.sample_sum(x2, rng)
-                else:
-                    g = bisect_right(cdf, float(uniforms[(len(path) - p) * p + 1]))
+                g = spec2.sample_sum(x2, rng) if cdf is None else bisect_right(cdf, float(us2[len(path) - p]))
             z += g
-        for lag, spec, rows, guides, met, ks in rest:
+        for lag, spec, rows, guides, met, ks, us in rest:
             count = path[-lag]
             if count:
                 t = len(path) - p
@@ -295,10 +288,7 @@ def sample_path(model, n, burn_in, rng):
                     g = first_sight(spec, rows, guides, met, count)[ks[t]]
                 if g < 0:
                     cdf = met[count][0]
-                    if cdf is None:
-                        g = spec.sample_sum(count, rng)
-                    else:
-                        g = bisect_right(cdf, float(uniforms[t * p + lag - 1]))
+                    g = spec.sample_sum(count, rng) if cdf is None else bisect_right(cdf, float(us[t]))
                 z += g
         path.append(z)
         x2, x = x, z
