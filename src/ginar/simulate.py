@@ -189,11 +189,11 @@ def sample_path(model, n, burn_in, rng):
     object made for the whole path. A -1 there (a CDF entry splits that
     bucket) reads ``u`` itself, ``float(uniforms[t * p + i])`` (through a
     view of lag ``i + 1``'s uniforms), and sends it to ``bisect_right`` on
-    the CDF, so every count is the one
-    ``bisect_right`` alone would give. A count drawn with ``sample_sum`` has
-    the all-(-1) guide and no CDF, so each lag's hot path tests one sign.
-    Each lag lists its guides by count, ``()`` for a count not yet met, so a
-    first sight is the ``IndexError`` of that index.
+    the CDF, so every count is the one ``bisect_right`` alone would give. A
+    count drawn with ``sample_sum`` has the all-(-1) guide and no CDF, so
+    each lag's hot path tests one sign. Each lag lists its guides by count,
+    ``()`` for a count not yet met, so a first sight is the ``IndexError``
+    of that index.
     """
     require_int("series length", n, 1)
     require_int("burn-in", burn_in, 0)
