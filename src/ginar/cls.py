@@ -15,7 +15,9 @@ silently change the downstream test statistic).
 
 A fit keeps its design matrix, residuals, Gram matrix and inverse Gram
 matrix, and the plug-in moment matrices reuse them rather than recompute
-them. ``assemble_V_cls`` gives the blocks v11, v12 and v22 of the sandwich
+them. The design is the transposed view of one C-contiguous (p+1, n_eff)
+array, so the Gram matrix, Y'z, Y'r^2 and each weighted Gram (Y' * w) Y
+are products over its contiguous rows. ``assemble_V_cls`` gives the blocks v11, v12 and v22 of the sandwich
 covariance V of the estimators, in the cross-term-free form the CLS
 estimating functions admit (v21 = v12').
 
@@ -48,7 +50,8 @@ def build_regressors(series, p):
 
     Returns ``(response, design)``: the (n_eff,) responses and the
     (n_eff, p+1) design matrix, whose last column is identically 1, with a
-    leading R axis for a block. Counts above 2**53 are refused: float64
+    leading R axis for a block; the design is the transposed view of one
+    C-contiguous (p+1, n_eff) array. Counts above 2**53 are refused: float64
     holds every integer up to 2**53 exactly. So are bool, complex and string
     series, and object series holding anything but real, non-bool numbers.
     """
@@ -59,30 +62,33 @@ def build_regressors(series, p):
     n = z.shape[-1]
     if n <= p:
         raise InputError(f"series length {n} too short for order {p}")
-    if z.dtype.kind not in "iufO":  # bool, complex and string series are not counts
+    kind = z.dtype.kind
+    if kind not in "iufO":  # bool, complex and string series are not counts
         raise InputError(f"series values must be nonnegative integers, got dtype {z.dtype}")
-    if z.dtype.kind == "O":  # nor are bools, strings or other objects mixed into a series
+    if kind == "O":  # nor are bools, strings or other objects mixed into a series
         for value in z.flat:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InputError(f"series values must be nonnegative integers, got {value!r}")
     counts = z.astype(np.float64)
-    if np.any(counts < 0) or (z.dtype.kind not in "iu" and np.any(counts != np.floor(counts))):
+    if (z.min() < 0) if kind in "iu" else (np.any(counts < 0) or np.any(counts != np.floor(counts))):
         raise InputError("series values must be nonnegative integers")
     largest = z.max()
     if largest > 2**53:
         raise InputError(f"count {largest} exceeds 2**53, the largest a float64 holds exactly")
-    design = np.ones(z.shape[:-1] + (n - p, p + 1))
+    design_t = np.empty(z.shape[:-1] + (p + 1, n - p))
     for i in range(p):
-        design[..., i] = counts[..., p - 1 - i : n - 1 - i]
-    return counts[..., p:], design
+        design_t[..., i, :] = counts[..., p - 1 - i : n - 1 - i]
+    design_t[..., p, :] = 1.0
+    return counts[..., p:], design_t.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class CLSFit:
     """Both CLS stages plus what they computed on the way: the design
-    matrix, the first-stage residuals Z_t - mu_hat'Y, the Gram matrix
-    mean(Y Y') and its inverse, which the moment matrices reuse; for a block,
-    whether each row's Gram matrix is singular."""
+    matrix (the transposed view of a contiguous (p+1, n_eff) array), the
+    first-stage residuals Z_t - mu_hat'Y, the Gram matrix mean(Y Y') and its
+    inverse, which the moment matrices reuse; for a block, whether each row's
+    Gram matrix is singular."""
 
     mu_hat: np.ndarray
     theta_hat: np.ndarray
@@ -106,28 +112,28 @@ def fit_cls(series, p):
     n_eff = response.shape[-1]
     if n_eff < p + 2:
         raise EstimationError(f"need at least p + 2 = {p + 2} rows, got {n_eff}")
-    design_t = np.swapaxes(design, -1, -2)
+    design_t = design.swapaxes(-1, -2)  # the contiguous (p+1, n_eff) array
     gram = design_t @ design / n_eff
-    eigenvalues, q, singular = eigh_batch(gram.reshape((-1,) + gram.shape[-2:]))
+    eigenvalues, q, singular = eigh_batch(gram.reshape(-1, p + 1, p + 1))
     if gram.ndim == 2 and singular[0]:
         raise EstimationError(
             "singular Gram matrix: regressor columns are linearly dependent; a constant series is the typical cause"
         )
-    gram_inv = ((q / eigenvalues[:, None, :]) @ np.swapaxes(q, -1, -2)).reshape(gram.shape)
+    gram_inv = ((q / eigenvalues[:, None, :]) @ q.swapaxes(-1, -2)).reshape(gram.shape)
     mu_hat = (gram_inv @ (design_t @ response[..., None] / n_eff))[..., 0]
     residuals = response - (design @ mu_hat[..., None])[..., 0]
-    theta_hat = (gram_inv @ (design_t @ (residuals**2)[..., None] / n_eff))[..., 0]
+    theta_hat = (gram_inv @ (design_t @ (residuals * residuals)[..., None] / n_eff))[..., 0]
     if gram.ndim == 3:
         return CLSFit(mu_hat, theta_hat, design, residuals, gram, gram_inv, singular_gram=singular)
 
     warnings = []
-    thinning_means = mu_hat[:-1]
-    if np.any(thinning_means < 0.0) or thinning_means.sum() >= 1.0:
+    thinning_means = mu_hat[:-1].tolist()
+    if min(thinning_means) < 0.0 or sum(thinning_means) >= 1.0:
         warnings.append(
             "estimated thinning means fall outside the stationarity region "
-            f"(mu_hat[:p] = {np.round(thinning_means, 6).tolist()})"
+            f"(mu_hat[:p] = {np.round(mu_hat[:-1], 6).tolist()})"
         )
-    for i, value in enumerate(theta_hat):
+    for i, value in enumerate(theta_hat.tolist()):
         if value < 0.0:
             label = "innovation" if i == p else f"lag {i + 1}"
             warnings.append(f"variance estimate for {label} is negative ({value:.6g})")
@@ -172,11 +178,12 @@ def estimate_moment_matrices(fit):
     ``assemble_V_cls`` with the fit's ``gram_inv``.
     """
     design = fit.design
+    design_t = design.swapaxes(-1, -2)
     residuals = fit.residuals
     fitted_var = (design @ fit.theta_hat[..., None])[..., 0]
     r2 = residuals * residuals
-    weights = (fitted_var, r2 * residuals, r2 * r2 - fitted_var**2)
-    im, imv, iv = (np.swapaxes(design * w[..., None], -1, -2) @ design / fit.n_eff for w in weights)
+    weights = (fitted_var, r2 * residuals, r2 * r2 - fitted_var * fitted_var)
+    im, imv, iv = ((design_t * w[..., None, :]) @ design / fit.n_eff for w in weights)
     return MomentMatrices(fit.gram, im, imv, iv, *assemble_V_cls(fit.gram_inv, im, imv, iv))
 
 

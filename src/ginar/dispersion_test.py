@@ -154,12 +154,12 @@ def assemble_W(k, v11, v12, v22):
     k = np.asarray(k, dtype=np.float64)
     shape = k.shape + k.shape[-1:]
     for name, block in (("v11", v11), ("v12", v12), ("v22", v22)):
-        if np.shape(block) != shape:
+        if np.asarray(block).shape != shape:
             raise ValueError(f"{name} must have shape {shape} to match k, got shape {np.shape(block)}")
     column = k[..., :, None]
     kv11k, kv12 = column * v11 * k[..., None, :], column * v12
     a12 = np.abs(kv12)
-    return kv11k - kv12 - np.swapaxes(kv12, -1, -2) + v22, np.abs(kv11k) + a12 + np.swapaxes(a12, -1, -2) + np.abs(v22)
+    return kv11k - kv12 - kv12.swapaxes(-1, -2) + v22, np.abs(kv11k) + a12 + a12.swapaxes(-1, -2) + np.abs(v22)
 
 
 def quadratic_forms(discrepancies, w_hats, n_eff):
@@ -197,8 +197,8 @@ def _run(series, p, null, indices, level):
     require_level(level)
     if null.order != p:
         raise InputError(f"null spec has {null.order + 1} families, expected p+1 = {p + 1}")
-    idx = _resolve_indices(indices, p + 1)
-    df, sel = len(idx), np.array(idx) - 1
+    idx = tuple(range(1, null.order + 2)) if indices is None else _resolve_indices(indices, p + 1)
+    df = len(idx)
     fit = fit_cls(series, p)
     moments = estimate_moment_matrices(fit)
     with np.errstate(over="ignore", invalid="ignore"):  # quadratic_forms flags non-finite d or W
@@ -206,14 +206,15 @@ def _run(series, p, null, indices, level):
         w, scale = assemble_W(k, moments.v11, moments.v12, moments.v22)
     d = kappa_vals - fit.theta_hat
     if df < p + 1:
+        sel = np.array(idx) - 1
         d, w, scale = d[..., sel], w[..., sel[:, None], sel], scale[..., sel[:, None], sel]
     statistics, outcomes = quadratic_forms(d.reshape(-1, df), w.reshape(-1, df, df), fit.n_eff)
     if fit.singular_gram is not None:
         outcomes[fit.singular_gram] = SINGULAR_GRAM
+    cancelled = np.abs(w).reshape(len(outcomes), -1).max(1) <= EIG_RTOL * scale.reshape(len(outcomes), -1).max(1)
     p_values, codes = [], []
-    magnitudes = zip(np.abs(w).reshape(len(outcomes), -1).tolist(), scale.reshape(len(outcomes), -1).tolist())
-    for statistic, code, (w_row, scale_row) in zip(statistics.tolist(), outcomes.tolist(), magnitudes):
-        code = SINGULAR_W if code in (KEEP, OVERFLOW) and max(w_row) <= EIG_RTOL * max(scale_row) else code
+    for statistic, code, cancel in zip(statistics.tolist(), outcomes.tolist(), cancelled.tolist()):
+        code = SINGULAR_W if cancel and code in (KEEP, OVERFLOW) else code
         p_values.append(np.nan if code else chi_square_survival(max(statistic, 0.0), df))
         codes.append(code or (NEGATIVE if statistic < 0.0 else REJECT if p_values[-1] <= level else KEEP))
     if fit.singular_gram is not None:
@@ -239,7 +240,7 @@ def run_test(series, p, null, level=0.05):
     chi-square p-value with p+1 degrees of freedom; the null is rejected
     when it is at most the level. A block of series gives a ``BlockResult``.
     """
-    return _run(series, p, null, range(1, null.order + 2), level)
+    return _run(series, p, null, None, level)
 
 
 def run_subvector_test(series, p, null, indices, level=0.05):
@@ -248,5 +249,5 @@ def run_subvector_test(series, p, null, indices, level=0.05):
     Positions 1..p select thinning lags, position p+1 the innovation. With
     the full index set this coincides with ``run_test``.
     """
-    return _run(series, p, null, indices, level)
+    return _run(series, p, null, tuple(indices), level)
 

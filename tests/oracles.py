@@ -67,3 +67,25 @@ def reference_path(model, n, burn_in, rng):
             z += spec.sample_sum(count, rng) if cdf is None else bisect_right(cdf, uniforms[t * p + i])
         path.append(z)
     return np.array(path[p + burn_in :], dtype=np.int64)
+
+
+def reference_moments(series, p, mu_hat, theta_hat):
+    """The CLS moment matrices and sandwich blocks by a plain sum over t.
+
+    With Y_t = (Z_{t-1}, ..., Z_{t-p}, 1), residual r_t = Z_t - mu_hat'Y_t and
+    fitted variance v_t = theta_hat'Y_t, the four means of w_t Y_t Y_t' for
+    w_t = 1, v_t, r_t^3 and r_t^4 - v_t^2 are accumulated one t at a time;
+    returns ``(jm, im, imv, iv, v11, v12, v22)`` with v = jm^{-1} m jm^{-1}.
+    """
+    z = [float(value) for value in series]
+    sums = [np.zeros((p + 1, p + 1)) for _ in range(4)]
+    for t in range(p, len(z)):
+        y = np.array(z[t - p : t][::-1] + [1.0])
+        r = z[t] - float(mu_hat @ y)
+        v = float(theta_hat @ y)
+        outer = np.outer(y, y)
+        for total, weight in zip(sums, (1.0, v, r**3, r**4 - v**2)):
+            total += weight * outer
+    jm, im, imv, iv = (total / (len(z) - p) for total in sums)
+    jm_inv = np.linalg.inv(jm)
+    return (jm, im, imv, iv) + tuple(jm_inv @ m @ jm_inv for m in (im, imv, iv))

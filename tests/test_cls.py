@@ -16,7 +16,7 @@ from ginar.distributions import Bernoulli, BernoulliKappa, Poisson, PoissonKappa
 from ginar.errors import EstimationError, InputError
 from ginar.numerics import invert
 from ginar.simulate import GinarModel, SimConfig, simulate
-from oracles import assemble_V_general
+from oracles import assemble_V_general, reference_moments
 
 
 def simulated_series(n, seed, mu=0.3, rate=1.0, burn_in=1000):
@@ -237,6 +237,25 @@ class TestMomentMatrices:
         assert block.shape == (reps, 4, 4)
         for row, one in zip(block, series):
             assert np.array_equal(row, estimate_moment_matrices(fit_cls(one, 1)).v)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 300, 2000])
+    def test_matches_per_t_reference(self, p, n):
+        # every moment matrix and sandwich block against a plain sum over t, on
+        # one series and on each row of a block of five; relative to each
+        # matrix's largest entry, since an entry that cancels to rounding noise
+        # has no relative accuracy
+        model = GinarModel(counting=(Bernoulli(0.3), Bernoulli(0.2), Bernoulli(0.1))[:p], innovation=Poisson(1.0))
+        series = np.stack([simulate(model, SimConfig(n=n, burn_in=100, seed=700 + 10 * n + s)) for s in range(5)])
+        names = ("jm", "im", "imv", "iv", "v11", "v12", "v22")
+        block = estimate_moment_matrices(fit_cls(series, p))
+        for row, one in enumerate(series):
+            fit = fit_cls(one, p)
+            expected = reference_moments(one, p, fit.mu_hat, fit.theta_hat)
+            for moments, index in ((estimate_moment_matrices(fit), ...), (block, row)):
+                for name, want in zip(names, expected):
+                    scale = np.abs(want).max()
+                    assert_allclose(getattr(moments, name)[index], want, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
     def test_constant_regressors_singular(self):
         # the Gram matrix is inverted once, in fit_cls, before any moment matrix

@@ -404,13 +404,20 @@ class TestBlock:
     def block(self, rows, n=300, seed=500):
         return np.stack([alt_series(n, seed + r) if r % 3 == 0 else h0_series(n, seed + r) for r in range(rows)])
 
-    def test_rows_bitwise_independent_of_block_size(self):
-        series = self.block(64)
-        for indices in ((1, 2), (1,), (2,)):
-            whole = run_subvector_test(series, 1, BERN_POIS_NULL, indices, 0.05)
+    # the grid's lengths too, where the contiguous products reach BLAS with a long inner dimension
+    @pytest.mark.parametrize("p, n", [(1, 300), (1, 2000), (2, 2000), (3, 1000)])
+    def test_rows_bitwise_independent_of_block_size(self, p, n):
+        if p == 1:
+            series = self.block(64, n)
+        else:
+            model = GinarModel(counting=(Bernoulli(0.3), Bernoulli(0.2), BerG(0.1, 0.1))[:p], innovation=Poisson(1.0))
+            series = np.stack([simulate(model, SimConfig(n=n, burn_in=100, seed=600 + r)) for r in range(64)])
+        null = NullSpec((BernoulliKappa(),) * p + (PoissonKappa(),))
+        for indices in (tuple(range(1, p + 2)), (1,), (p + 1,)):
+            whole = run_subvector_test(series, p, null, indices, 0.05)
             for size in (1, 7, 25):
                 for start in range(0, 64, size):
-                    part = run_subvector_test(series[start : start + size], 1, BERN_POIS_NULL, indices, 0.05)
+                    part = run_subvector_test(series[start : start + size], p, null, indices, 0.05)
                     rows = slice(start, start + size)
                     assert np.array_equal(bits(part.statistics), bits(whole.statistics[rows]))
                     assert np.array_equal(bits(part.p_values), bits(whole.p_values[rows]))

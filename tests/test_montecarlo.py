@@ -60,6 +60,9 @@ class TestGridValidation:
             # pi and xi must be numbers too: these two ran as pi = 0.3 and xi = 0.1
             {"pi_values": ("0.3",), "xi_values": (0.0,), "n_values": (100,)},
             {"pi_values": (0.3,), "xi_values": ("0.1",), "n_values": (100,)},
+            # nor bools: False ran as xi = 0, and True was refused only as pi = 1.0
+            {"pi_values": (0.3,), "xi_values": (False,), "n_values": (100,)},
+            {"pi_values": (True,), "xi_values": (0.0,), "n_values": (100,)},
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
