@@ -55,8 +55,8 @@ INNOVATION_RATE = 1.0
 # The INAR(1) fit needs n - 1 >= 3 regression rows.
 _MIN_LENGTH = 4
 # Replications per run_test call. Blocks of 8 keep most of the batching
-# gain; with the contiguous test kernel, blocks of 16 and 32 ran within 5% of
-# 8 per replication at n 500 and 2000, inside the run-to-run spread.
+# gain; with the contiguous test kernel, 16 and 32 ran within 5% of 8 per
+# replication at n 500 and 2000 (2-vCPU Xeon), inside the run-to-run spread.
 BLOCK = 8
 
 
