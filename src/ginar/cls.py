@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InputError, require_int
-from .numerics import MAX_DIM, eigh_batch
+from .numerics import EIG_RTOL, MAX_DIM, eigh_batch
 
 __all__ = [
     "CLSFit",
@@ -133,8 +133,11 @@ def fit_cls(series, p):
             "estimated thinning means fall outside the stationarity region "
             f"(mu_hat[:p] = {np.round(mu_hat[:-1], 6).tolist()})"
         )
-    for i, value in enumerate(theta_hat.tolist()):
-        if value < 0.0:
+    # a component that is zero in exact arithmetic can land an ulp below it
+    theta = theta_hat.tolist()
+    floor = -EIG_RTOL * max(map(abs, theta))
+    for i, value in enumerate(theta):
+        if value < floor:
             label = "innovation" if i == p else f"lag {i + 1}"
             warnings.append(f"variance estimate for {label} is negative ({value:.6g})")
     return CLSFit(mu_hat, theta_hat, design, residuals, gram, gram_inv, tuple(warnings))

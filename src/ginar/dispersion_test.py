@@ -137,7 +137,7 @@ def build_K(null, mu_hat):
         if mu_hat.ndim == 1 and not kappa.admissible(mu):
             warnings.append(
                 f"estimated mean {mu:.6g} at position {i + 1} is outside the "
-                f"admissible range {kappa.range_text} of the {kappa.name} kappa "
+                f"admissible range (0, {kappa.upper:g}) of the {kappa.name} kappa "
                 "family; formulas evaluated by smooth extension"
             )
         values.T[i] = kappa.value(mu)

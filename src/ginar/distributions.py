@@ -399,23 +399,28 @@ class BerG(CountDistribution):
 class KappaFamily:
     """A map mu -> kappa(mu) giving a family's variance at mean mu.
 
-    ``value`` and ``derivative`` evaluate the polynomial formulas on all of
-    R; ``admissible`` tells whether mu lies in the family's mean range. The
-    test pipeline warns about inadmissible means and proceeds, so a
-    boundary-ish estimate does not abort a whole Monte Carlo run.
+    Every family used is a quadratic through the origin, kappa(mu) =
+    (a + s mu) mu / b with kappa'(mu) = 1 + 2 s mu / b, so a family is data:
+    its ``coefficients`` (a, s, b) and ``upper``, the open end of its
+    admissible mean range (0, upper). ``value`` and ``derivative`` evaluate
+    the formulas on all of R; ``admissible`` tells whether mu lies in the
+    range. The test pipeline warns about inadmissible means and proceeds, so
+    a boundary-ish estimate does not abort a whole Monte Carlo run.
     """
 
     name = "kappa"
-    range_text = ""
+    upper = math.inf
 
     def admissible(self, mu):
-        raise NotImplementedError
+        return 0.0 < mu < self.upper
 
     def value(self, mu):
-        raise NotImplementedError
+        a, s, b = self.coefficients
+        return (a + s * mu) * mu / b
 
     def derivative(self, mu):
-        raise NotImplementedError
+        _, s, b = self.coefficients
+        return 1.0 + 2.0 * s * mu / b
 
 
 @dataclass(frozen=True)
@@ -423,16 +428,8 @@ class BernoulliKappa(KappaFamily):
     """kappa(mu) = mu(1-mu) on (0, 1)."""
 
     name = "bernoulli"
-    range_text = "(0, 1)"
-
-    def admissible(self, mu):
-        return 0.0 < mu < 1.0
-
-    def value(self, mu):
-        return mu * (1.0 - mu)
-
-    def derivative(self, mu):
-        return 1.0 - 2.0 * mu
+    coefficients = (1.0, -1.0, 1.0)
+    upper = 1.0
 
 
 @dataclass(frozen=True)
@@ -440,16 +437,7 @@ class PoissonKappa(KappaFamily):
     """kappa(mu) = mu on (0, inf)."""
 
     name = "poisson"
-    range_text = "(0, inf)"
-
-    def admissible(self, mu):
-        return mu > 0.0
-
-    def value(self, mu):
-        return mu
-
-    def derivative(self, mu):
-        return 1.0
+    coefficients = (1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -459,47 +447,37 @@ class NegBinomialKappa(KappaFamily):
     r: float
 
     name = "negbinomial"
-    range_text = "(0, inf)"
 
     def __post_init__(self):
         _require(
             0.0 < self.r < math.inf, f"NegBinomialKappa r must be positive and finite, got {self.r}"
         )
 
-    def admissible(self, mu):
-        return mu > 0.0
-
-    def value(self, mu):
-        return (mu + self.r) * mu / self.r
-
-    def derivative(self, mu):
-        return 2.0 * mu / self.r + 1.0
+    @property
+    def coefficients(self):
+        return (self.r, 1.0, self.r)
 
 
 # --- configuration-text parsing ------------------------------------------
 
 _SPEC_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
-# family name -> (constructor, {accepted key: canonical key}, required canonical keys),
-# one table for count distributions and one for kappa families
+# family name -> (constructor, {accepted key: canonical key}), every canonical key
+# required; one table for count distributions and one for kappa families
 _DIST_FAMILIES = {
-    "bernoulli": (Bernoulli, {"p": "prob", "prob": "prob"}, ("prob",)),
-    "poisson": (Poisson, {"rate": "rate", "lam": "rate", "lambda": "rate"}, ("rate",)),
-    "negbinomial": (
-        NegBinomial,
-        {"r": "r", "successes": "r", "p": "prob", "prob": "prob"},
-        ("r", "prob"),
-    ),
-    "geometric": (Geometric, {"p": "prob", "prob": "prob"}, ("prob",)),
-    "zj": (ZJExtended, {"mu": "mu", "gamma": "gamma"}, ("mu", "gamma")),
-    "zjextended": (ZJExtended, {"mu": "mu", "gamma": "gamma"}, ("mu", "gamma")),
-    "berg": (BerG, {"pi": "pi", "xi": "xi"}, ("pi", "xi")),
+    "bernoulli": (Bernoulli, {"p": "prob", "prob": "prob"}),
+    "poisson": (Poisson, {"rate": "rate", "lam": "rate", "lambda": "rate"}),
+    "negbinomial": (NegBinomial, {"r": "r", "successes": "r", "p": "prob", "prob": "prob"}),
+    "geometric": (Geometric, {"p": "prob", "prob": "prob"}),
+    "zj": (ZJExtended, {"mu": "mu", "gamma": "gamma"}),
+    "zjextended": (ZJExtended, {"mu": "mu", "gamma": "gamma"}),
+    "berg": (BerG, {"pi": "pi", "xi": "xi"}),
 }
 
 _KAPPA_FAMILIES = {
-    "bernoulli": (BernoulliKappa, {}, ()),
-    "poisson": (PoissonKappa, {}, ()),
-    "negbinomial": (NegBinomialKappa, {"r": "r"}, ("r",)),
+    "bernoulli": (BernoulliKappa, {}),
+    "poisson": (PoissonKappa, {}),
+    "negbinomial": (NegBinomialKappa, {"r": "r"}),
 }
 
 
@@ -511,7 +489,7 @@ def _parse_spec(text, families, what):
     family, body = match.group(1).lower(), match.group(2)
     if family not in families:
         raise InputError(f"unknown {what} family {family!r} (known: {', '.join(sorted(families))})")
-    ctor, aliases, required = families[family]
+    ctor, aliases = families[family]
     params = {}
     for token in body.split(",") if body else ():
         key, eq, raw = token.partition("=")
@@ -528,7 +506,7 @@ def _parse_spec(text, families, what):
         if canon in params:
             raise InputError(f"duplicate parameter {canon!r} in {text!r}")
         params[canon] = value
-    missing = [k for k in required if k not in params]
+    missing = [k for k in dict.fromkeys(aliases.values()) if k not in params]
     if missing:
         raise InputError(f"missing parameter(s) {missing} for {what} family {family!r} in {text!r}")
     return ctor(**params)

@@ -5,6 +5,7 @@ every run reproduces the same rates; the pinned values were verified against
 higher-replication runs of the same cells.
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,8 @@ def test_criterion_1_empirical_size_grid():
     check(
         "criterion 1: empirical size across the null grid (tolerance 0.03)",
         worst <= 0.03 and failures == 0,
-        f"worst |rate - reference| = {worst:.4f} at (pi, n) = {worst_cell}, failures = {failures}",
+        f"worst |rate - reference| = {worst:.4f} at (pi, n) = {worst_cell}, failures = {failures}, "
+        f"table sha256 {hashlib.sha256(table.csv_text().encode()).hexdigest()}",
     )
 
 

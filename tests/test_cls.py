@@ -162,6 +162,23 @@ class TestClosedForms:
         else:
             pytest.fail("no negative variance component found in 200 small samples")
 
+    @pytest.mark.parametrize(
+        "series,label,warns",
+        [
+            # theta_1 is exactly 0 in rationals and -5.95e-16 in floats
+            ([1, 0, 2, 2, 1, 0, 1, 0], "lag 1", False),
+            # the innovation theta is exactly 0 in rationals and -5.5e-17 in floats
+            ([0, 1, 1, 1, 0, 1, 1, 0], "innovation", False),
+            # theta_1 is -0.066, clearly negative
+            ([5, 0, 0, 1, 2, 1, 0, 0], "lag 1", True),
+        ],
+    )
+    def test_negative_variance_warning_ignores_rounding(self, series, label, warns):
+        fit = fit_cls(np.array(series), 1)
+        assert fit.theta_hat[0 if label == "lag 1" else 1] < 0.0
+        warned = any(w.startswith(f"variance estimate for {label} is negative") for w in fit.warnings)
+        assert warned == warns
+
 
 class TestConsistencyAtScale:
     def test_mean_of_estimates_near_truth(self):

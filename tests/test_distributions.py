@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from ginar.dispersion_test import NullSpec, build_K
 from ginar.distributions import (
     BerG,
     Bernoulli,
@@ -251,6 +252,25 @@ class TestSumPmf:
         assert pmf[point] == 1.0 and pmf.sum() == 1.0
 
 
+# Finite means: negatives, signed zeros, subnormals, 1 - 2**-53 and values whose kappa overflows.
+KAPPA_GRID = [-1e300, -2.5, -1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0, 1.7, 1e6, 1e300]
+
+
+def _kappa_formulas(r):
+    """(family, kappa, kappa') per family, each formula written out as the paper gives it."""
+    return [
+        (BernoulliKappa(), lambda mu: mu * (1.0 - mu), lambda mu: 1.0 - 2.0 * mu),
+        (PoissonKappa(), lambda mu: mu, lambda mu: np.ones_like(mu)),
+        (NegBinomialKappa(r=r), lambda mu: (mu + r) * mu / r, lambda mu: 2.0 * mu / r + 1.0),
+    ]
+
+
+def _same_bits(got, want):
+    """Equal values and equal signs of zero, for scalars or arrays."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestKappaFamilies:
     def test_bernoulli_values(self):
         k = BernoulliKappa()
@@ -292,6 +312,25 @@ class TestKappaFamilies:
         assert not NegBinomialKappa(r=1.0).admissible(-2.0)
         assert_allclose(k.value(1.5), 1.5 * (1.0 - 1.5))
         assert_allclose(k.derivative(1.5), -2.0)
+
+    @pytest.mark.parametrize("r", [0.7, 2.0, 1e-3, 1e6])
+    def test_formulas_bitwise_on_python_floats(self, r):
+        for family, kappa, slope in _kappa_formulas(r):
+            for mu in KAPPA_GRID:
+                assert _same_bits(family.value(mu), kappa(mu)), (family, mu)
+                assert _same_bits(family.derivative(mu), slope(mu)), (family, mu)
+
+    @pytest.mark.parametrize("r", [0.7, 2.0, 1e-3, 1e6])
+    def test_formulas_bitwise_in_build_K_block_columns(self, r):
+        formulas = _kappa_formulas(r)
+        grid = np.array(KAPPA_GRID)
+        mu_hat = np.column_stack([grid] * len(formulas))  # an (R, p+1) block, p = 2
+        with np.errstate(over="ignore"):
+            values, k, warnings = build_K(NullSpec(tuple(f for f, _, _ in formulas)), mu_hat)
+            for i, (family, kappa, slope) in enumerate(formulas):
+                assert _same_bits(values[:, i], kappa(grid)), family
+                assert _same_bits(k[:, i], slope(grid)), family
+        assert warnings == []
 
 
 class TestZJParameterization:
