@@ -5,18 +5,22 @@ Six families are supported: Bernoulli, Poisson, negative binomial, geometric
 Bernoulli-geometric convolution BerG. Each family knows its analytic mean and
 variance, can draw arrays of values, and can draw the *sum* of ``k``
 independent copies in one shot -- the operation the thinning operator needs.
-It also tabulates the exact pmf of that sum (``sum_pmf``). Every family is
-built from binomial, Poisson and negative binomial pieces, the three laws of
-Panjer's (a, b, 0) class, so one recurrence covers all of them.
+It also tabulates the exact pmf of that sum (``sum_pmf``). Every family but
+the Zhu-Joe one is a sum of binomial, Poisson, negative binomial and geometric
+``pieces``, so one base class implements all of that for them; the laws are
+Panjer's (a, b, 0) class, so one recurrence tabulates every pmf.
 
 The module also houses the kappa families: the maps ``mu -> kappa(mu)`` that
 express a family's variance as a function of its mean, which is what the
 dispersion test checks.
 """
 
+import functools
 import math
+import numbers
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,31 +58,52 @@ class CountDistribution:
       ``None`` when the law cannot be tabulated (P(0) underflows, or the
       row would exceed 2**20 entries).
 
+    A family is the sum of independent ``pieces``, tuples ``(law, size, q)``
+    over the law table ``_LAWS``, and this class implements the five members
+    from them: the sum of ``count`` copies is every piece at size ``count *
+    size``, drawn in piece order, and its pmf the convolution of their rows.
+    ``ZJExtended``, a compound law, overrides them.
+
     All sampling takes an explicit ``numpy.random.Generator`` so parallel
     callers never share mutable state.
     """
 
     @property
     def mean(self):
-        raise NotImplementedError
+        return sum(_LAWS[law].mean(n, q) for law, n, q in self.pieces)
 
     @property
     def variance(self):
-        raise NotImplementedError
+        return sum(_LAWS[law].variance(n, q) for law, n, q in self.pieces)
 
     def sample_array(self, size, rng):
-        raise NotImplementedError
+        (law, n, q), *rest = self.pieces
+        draws = _LAWS[law].draw(rng, n, q, size)
+        for law, n, q in rest:
+            draws += _LAWS[law].draw(rng, n, q, size)
+        return draws
 
     def sample_sum(self, count, rng):
-        raise NotImplementedError
+        if count == 0:
+            return 0
+        return sum(int(_LAWS[law].draw(rng, count * n, q)) for law, n, q in self.pieces)
 
     def sum_pmf(self, count):
-        raise NotImplementedError
+        rows = [_LAWS[law].pmf(count * n, q) for law, n, q in self.pieces]
+        return None if any(row is None for row in rows) else functools.reduce(np.convolve, rows)
 
 
 def _require(condition, message):
     if not condition:
         raise InputError(message)
+
+
+def _require_reals(family):
+    """Raise ``InputError`` unless every parameter of ``family`` is a real number; a bool is refused."""
+    for field in fields(family):
+        value = getattr(family, field.name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise InputError(f"{type(family).__name__} {field.name} must be a real number, got {value!r}")
 
 
 # Tabulation stops once the mass left beyond the row is provably below this.
@@ -134,6 +159,35 @@ def _negbin_pmf(r, prob):
     return _panjer_pmf(1.0 - prob, (r - 1.0) * (1.0 - prob), prob**r)
 
 
+# The laws a piece follows, at size n with parameter q: ``draw(rng, n, q,
+# size=None)`` draws an array of ``size`` (one value when None), ``pmf(n, q)``
+# tabulates the law, ``mean(n, q)`` and ``variance(n, q)`` give its moments.
+# A geometric piece has size 1: its arrays are numpy's geometric on {1, 2, ...}
+# shifted down, and its n-fold sum is NB(n, q).
+_Law = namedtuple("_Law", "draw pmf mean variance")
+_NEGBIN_MOMENTS = (lambda n, q: n * (1.0 - q) / q, lambda n, q: n * (1.0 - q) / q**2)
+_LAWS = {
+    "binomial": _Law(
+        lambda rng, n, q, size=None: rng.binomial(n, q, size),
+        _binomial_pmf,
+        lambda n, q: n * q,
+        lambda n, q: n * q * (1.0 - q),
+    ),
+    "poisson": _Law(
+        lambda rng, n, q, size=None: rng.poisson(n * q, size),
+        lambda n, q: _panjer_pmf(0.0, n * q, math.exp(-(n * q))),
+        lambda n, q: n * q,
+        lambda n, q: n * q,
+    ),
+    "negbin": _Law(lambda rng, n, q, size=None: rng.negative_binomial(n, q, size), _negbin_pmf, *_NEGBIN_MOMENTS),
+    "geometric": _Law(
+        lambda rng, n, q, size=None: rng.negative_binomial(n, q) if size is None else rng.geometric(q, size) - 1,
+        _negbin_pmf,
+        *_NEGBIN_MOMENTS,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class Bernoulli(CountDistribution):
     """Bernoulli(prob) on {0, 1}; as a counting sequence this is binomial thinning."""
@@ -141,27 +195,12 @@ class Bernoulli(CountDistribution):
     prob: float
 
     def __post_init__(self):
+        _require_reals(self)
         _require(0.0 < self.prob < 1.0, f"Bernoulli prob must lie in (0,1), got {self.prob}")
 
     @property
-    def mean(self):
-        return self.prob
-
-    @property
-    def variance(self):
-        return self.prob * (1.0 - self.prob)
-
-    def sample_array(self, size, rng):
-        return rng.binomial(1, self.prob, size=size)
-
-    def sample_sum(self, count, rng):
-        # Sum of count Bernoulli draws is Binomial(count, prob).
-        if count == 0:
-            return 0
-        return int(rng.binomial(count, self.prob))
-
-    def sum_pmf(self, count):
-        return _binomial_pmf(count, self.prob)
+    def pieces(self):
+        return (("binomial", 1, self.prob),)
 
 
 @dataclass(frozen=True)
@@ -171,31 +210,15 @@ class Poisson(CountDistribution):
     rate: float
 
     def __post_init__(self):
+        _require_reals(self)
         _require(
             0.0 < self.rate <= _LAM_MAX,
             f"Poisson rate must be positive and finite, at most {_LAM_MAX:.6g}, got {self.rate}",
         )
 
     @property
-    def mean(self):
-        return self.rate
-
-    @property
-    def variance(self):
-        return self.rate
-
-    def sample_array(self, size, rng):
-        return rng.poisson(self.rate, size=size)
-
-    def sample_sum(self, count, rng):
-        # Poisson is closed under convolution.
-        if count == 0:
-            return 0
-        return int(rng.poisson(count * self.rate))
-
-    def sum_pmf(self, count):
-        lam = count * self.rate
-        return _panjer_pmf(0.0, lam, math.exp(-lam))
+    def pieces(self):
+        return (("poisson", 1, self.rate),)
 
 
 @dataclass(frozen=True)
@@ -211,6 +234,7 @@ class NegBinomial(CountDistribution):
     prob: float
 
     def __post_init__(self):
+        _require_reals(self)
         _require(
             0.0 < self.r < math.inf, f"NegBinomial r must be positive and finite, got {self.r}"
         )
@@ -221,24 +245,8 @@ class NegBinomial(CountDistribution):
         )
 
     @property
-    def mean(self):
-        return self.r * (1.0 - self.prob) / self.prob
-
-    @property
-    def variance(self):
-        return self.r * (1.0 - self.prob) / self.prob**2
-
-    def sample_array(self, size, rng):
-        return rng.negative_binomial(self.r, self.prob, size=size)
-
-    def sample_sum(self, count, rng):
-        # Convolution adds the shape parameters: NB(count * r, prob).
-        if count == 0:
-            return 0
-        return int(rng.negative_binomial(count * self.r, self.prob))
-
-    def sum_pmf(self, count):
-        return _negbin_pmf(count * self.r, self.prob)
+    def pieces(self):
+        return (("negbin", self.r, self.prob),)
 
 
 @dataclass(frozen=True)
@@ -253,28 +261,12 @@ class Geometric(CountDistribution):
     prob: float
 
     def __post_init__(self):
+        _require_reals(self)
         _require(0.0 < self.prob < 1.0, f"Geometric prob must lie in (0,1), got {self.prob}")
 
     @property
-    def mean(self):
-        return (1.0 - self.prob) / self.prob
-
-    @property
-    def variance(self):
-        return (1.0 - self.prob) / self.prob**2
-
-    def sample_array(self, size, rng):
-        # numpy's geometric has support {1, 2, ...}; shift down.
-        return rng.geometric(self.prob, size=size) - 1
-
-    def sample_sum(self, count, rng):
-        # Sum of count geometrics is NB(count, prob).
-        if count == 0:
-            return 0
-        return int(rng.negative_binomial(count, self.prob))
-
-    def sum_pmf(self, count):
-        return _negbin_pmf(count, self.prob)
+    def pieces(self):
+        return (("geometric", 1, self.prob),)
 
 
 @dataclass(frozen=True)
@@ -298,6 +290,7 @@ class ZJExtended(CountDistribution):
     gamma: float
 
     def __post_init__(self):
+        _require_reals(self)
         _require(0.0 <= self.mu <= 1.0, f"ZJExtended mu must lie in [0,1], got {self.mu}")
         _require(0.0 <= self.gamma < 1.0, f"ZJExtended gamma must lie in [0,1), got {self.gamma}")
 
@@ -355,15 +348,22 @@ class BerG(CountDistribution):
 
     Mean pi + xi, variance (pi+xi)(1 - (pi+xi) + 2*xi). Overdispersed
     relative to a Bernoulli with the same mean whenever xi > 0, which is
-    what makes it the alternative family of the dispersion test.
+    what makes it the alternative family of the dispersion test. The
+    moments are written out: the pieces' sum pi + (1-q)/q is not bitwise
+    pi + xi.
     """
 
     pi: float
     xi: float
 
     def __post_init__(self):
+        _require_reals(self)
         _require(0.0 < self.pi < 1.0, f"BerG pi must lie in (0,1), got {self.pi}")
         _require(0.0 < self.xi < math.inf, f"BerG xi must be positive and finite, got {self.xi}")
+
+    @property
+    def pieces(self):
+        return (("binomial", 1, self.pi), ("geometric", 1, 1.0 / (1.0 + self.xi)))
 
     @property
     def mean(self):
@@ -373,27 +373,6 @@ class BerG(CountDistribution):
     def variance(self):
         m = self.mean
         return m * (1.0 - m + 2.0 * self.xi)
-
-    @property
-    def _geom_prob(self):
-        return 1.0 / (1.0 + self.xi)
-
-    def sample_array(self, size, rng):
-        return rng.binomial(1, self.pi, size=size) + rng.geometric(self._geom_prob, size=size) - 1
-
-    def sample_sum(self, count, rng):
-        if count == 0:
-            return 0
-        return int(rng.binomial(count, self.pi)) + int(
-            rng.negative_binomial(count, self._geom_prob)
-        )
-
-    def sum_pmf(self, count):
-        hits = _binomial_pmf(count, self.pi)
-        extra = _negbin_pmf(count, self._geom_prob)
-        if hits is None or extra is None:
-            return None
-        return np.convolve(hits, extra)
 
 
 class KappaFamily:
@@ -449,6 +428,7 @@ class NegBinomialKappa(KappaFamily):
     name = "negbinomial"
 
     def __post_init__(self):
+        _require_reals(self)
         _require(
             0.0 < self.r < math.inf, f"NegBinomialKappa r must be positive and finite, got {self.r}"
         )

@@ -320,33 +320,32 @@ def read_grid_config(path):
         return parse_grid_config(fh.read())
 
 
+# Format of each row field in the pretty tables.
+_FIELD_FORMATS = {"pi": "g", "xi": "g", "n": ""}
+
+
+def _format_rates(table, what, row_fields, column):
+    """Rates of ``table`` as text: a line per value of ``row_fields``, a column per value of ``column``."""
+    rates = {(tuple(getattr(row, f) for f in row_fields), getattr(row, column)): row.rate for row in table.rows}
+    keys = sorted({key for key, _ in rates})
+    values = sorted({value for _, value in rates})
+    width = len(column) + 9  # that of a column label whose value takes up to 8 characters
+    lines = [
+        f"empirical {what} at nominal level {table.level:g} (R={table.replications})",
+        "".join(f"{f:<8}" for f in row_fields) + "".join(f"{column}={v:<8{_FIELD_FORMATS[column]}}" for v in values),
+    ]
+    for key in keys:
+        label = "".join(f"{v:<8{_FIELD_FORMATS[f]}}" for f, v in zip(row_fields, key))
+        entries = (f"{rates[key, v]:<{width}.3f}" if (key, v) in rates else " " * width for v in values)
+        lines.append(label + "".join(entries))
+    return "\n".join(lines)
+
+
 def format_size_table(table):
     """Pretty size table: pi rows against series-length columns."""
-    ns = sorted({row.n for row in table.rows})
-    pis = sorted({row.pi for row in table.rows})
-    cell = {(row.pi, row.n): row for row in table.rows}
-    lines = [f"empirical size at nominal level {table.level:g} (R={table.replications})"]
-    lines.append("pi      " + "".join(f"n={n:<8}" for n in ns))
-    for pi in pis:
-        entries = []
-        for n in ns:
-            row = cell.get((pi, n))
-            entries.append(f"{row.rate:<10.3f}" if row else " " * 10)
-        lines.append(f"{pi:<8g}" + "".join(entries))
-    return "\n".join(lines)
+    return _format_rates(table, "size", ("pi",), "n")
 
 
 def format_power_table(table):
     """Pretty power table: (pi, n) rows against xi columns."""
-    xis = sorted({row.xi for row in table.rows})
-    keys = sorted({(row.pi, row.n) for row in table.rows})
-    cell = {(row.pi, row.xi, row.n): row for row in table.rows}
-    lines = [f"empirical power at nominal level {table.level:g} (R={table.replications})"]
-    lines.append("pi      n       " + "".join(f"xi={xi:<8g}" for xi in xis))
-    for pi, n in keys:
-        entries = []
-        for xi in xis:
-            row = cell.get((pi, xi, n))
-            entries.append(f"{row.rate:<11.3f}" if row else " " * 11)
-        lines.append(f"{pi:<8g}{n:<8}" + "".join(entries))
-    return "\n".join(lines)
+    return _format_rates(table, "power", ("pi", "n"), "xi")

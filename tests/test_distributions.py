@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from ginar.distributions import (
     parse_kappa,
 )
 from ginar.errors import InputError
+from ginar.simulate import GinarModel
 
 ALL_FAMILIES = [
     Bernoulli(0.3),
@@ -95,6 +97,29 @@ class TestValidation:
     def test_out_of_range_parameters_rejected(self, ctor):
         with pytest.raises(ValueError):
             ctor()
+
+    @pytest.mark.parametrize(
+        "ctor",
+        [
+            lambda: Poisson(True),
+            lambda: BerG(0.2, True),
+            lambda: ZJExtended(True, 0.0),
+            lambda: NegBinomialKappa(True),
+            lambda: GinarModel(counting=(Bernoulli(0.3),), innovation=Poisson(True)),
+            lambda: Bernoulli("0.5"),
+            lambda: Poisson(None),
+            lambda: Geometric(np.bool_(True)),
+            lambda: NegBinomial(2.0, [0.4]),
+        ],
+    )
+    def test_non_real_parameters_rejected(self, ctor):
+        with pytest.raises(InputError, match="must be a real number"):
+            ctor()
+
+    def test_numpy_reals_accepted(self):
+        assert Bernoulli(np.float64(0.3)) == Bernoulli(0.3)
+        assert NegBinomial(np.int64(2), np.float32(0.5)).mean == 2.0
+        assert NegBinomialKappa(np.float64(2.0)).coefficients == (2.0, 1.0, 2.0)
 
     def test_accepts_exactly_what_numpy_can_sample(self):
         # Poisson and NegBinomial refuse the parameters numpy's samplers refuse
@@ -250,6 +275,53 @@ class TestSumPmf:
     def test_zj_boundary_means_are_point_masses(self, mu, point):
         pmf = ZJExtended(mu, 0.4).sum_pmf(3)
         assert pmf[point] == 1.0 and pmf.sum() == 1.0
+
+
+# Each family at a few parameter points, some near an edge of its range or of
+# sum_pmf's tabulation (Poisson(37.5) and NegBinomial(30, 0.2) refuse their 40-fold rows).
+DIGEST_FAMILIES = [
+    Bernoulli(0.3),
+    Bernoulli(1e-6),
+    Bernoulli(0.97),
+    Poisson(1.0),
+    Poisson(0.05),
+    Poisson(37.5),
+    NegBinomial(2.0, 0.4),
+    NegBinomial(0.7, 0.9),
+    NegBinomial(30.0, 0.2),
+    Geometric(0.35),
+    Geometric(0.8),
+    Geometric(0.02),
+    ZJExtended(0.5, 0.5),
+    ZJExtended(0.0, 0.4),
+    ZJExtended(1.0, 0.3),
+    ZJExtended(0.2, 0.0),
+    BerG(0.2, 0.1),
+    BerG(0.6, 0.3),
+    BerG(0.05, 2.5),
+]
+# sha256 of every output below, computed with the per-family methods of version 0.2.0
+FAMILY_DIGEST = "e867f38590765302f07f482ef1d75d66053cf364a54351b12013299ab66f0ba8"
+
+
+def _family_outputs(dist, seed):
+    """mean, variance, sum_pmf and seeded sample_sum at a few counts, and a seeded sample_array."""
+    rng = np.random.default_rng(seed)
+    parts = [repr(dist), repr(dist.mean), repr(dist.variance)]
+    for count in (0, 1, 2, 7, 40):
+        pmf = dist.sum_pmf(count)
+        parts.append("None" if pmf is None else pmf.tobytes().hex())
+        parts.append(repr(dist.sample_sum(count, rng)))
+    draws = dist.sample_array(50, rng)
+    parts += [str(draws.dtype), draws.tobytes().hex()]
+    return "\n".join(parts)
+
+
+def test_every_family_output_is_pinned_bitwise():
+    sha = hashlib.sha256()
+    for seed, dist in enumerate(DIGEST_FAMILIES):
+        sha.update(_family_outputs(dist, seed).encode())
+    assert sha.hexdigest() == FAMILY_DIGEST
 
 
 # Finite means: negatives, signed zeros, subnormals, 1 - 2**-53 and values whose kappa overflows.

@@ -6,7 +6,9 @@ import pytest
 from ginar import montecarlo
 from ginar.errors import InputError
 from ginar.montecarlo import (
+    CellResult,
     ExperimentGrid,
+    RejectionTable,
     format_power_table,
     format_size_table,
     parse_grid_config,
@@ -377,3 +379,32 @@ class TestTableOutput:
         assert "xi=0.1" in text and "xi=0.2" in text
         size_text = format_size_table(table)
         assert "n=150" in size_text
+
+    def test_pretty_tables_exact_text(self):
+        # missing cells print as blanks; rows and columns sort by value
+        size = RejectionTable(100, 0.05, (
+            CellResult(0.3, 0.0, 50, 3, 0, 0.06),
+            CellResult(0.3, 0.0, 1000, 51, 0, 0.051),
+            CellResult(0.65, 0.0, 50, 7, 2, 7 / 98),
+            CellResult(0.125, 0.0, 12345, 0, 100, 0.0),
+        ))
+        assert format_size_table(size) == (
+            "empirical size at nominal level 0.05 (R=100)\n"
+            "pi      n=50      n=1000    n=12345   \n"
+            "0.125                       0.000     \n"
+            "0.3     0.060     0.051               \n"
+            "0.65    0.071                         "
+        )
+        power = RejectionTable(100, 0.1, (
+            CellResult(0.3, 0.1, 50, 40, 0, 0.4),
+            CellResult(0.3, 0.25, 50, 81, 1, 81 / 99),
+            CellResult(0.2, 0.1, 1000, 100, 0, 1.0),
+            CellResult(0.3, 0.1, 1000, 99, 0, 0.99),
+        ))
+        assert format_power_table(power) == (
+            "empirical power at nominal level 0.1 (R=100)\n"
+            "pi      n       xi=0.1     xi=0.25    \n"
+            "0.2     1000    1.000                 \n"
+            "0.3     50      0.400      0.818      \n"
+            "0.3     1000    0.990                 "
+        )
