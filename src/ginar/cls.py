@@ -111,7 +111,9 @@ def fit_cls(series, p):
     response, design = build_regressors(series, p)
     n_eff = response.shape[-1]
     if n_eff < p + 2:
-        raise EstimationError(f"need at least p + 2 = {p + 2} rows, got {n_eff}")
+        raise InputError(
+            f"series length {n_eff + p} too short for order {p}: the fit needs at least 2p + 2 = {2 * p + 2} values"
+        )
     design_t = design.swapaxes(-1, -2)  # the contiguous (p+1, n_eff) array
     gram = design_t @ design / n_eff
     eigenvalues, q, singular = eigh_batch(gram.reshape(-1, p + 1, p + 1))

@@ -99,11 +99,19 @@ def _require(condition, message):
 
 
 def _require_reals(family):
-    """Raise ``InputError`` unless every parameter of ``family`` is a real number; a bool is refused."""
+    """Raise ``InputError`` unless every parameter of ``family`` is a real number; a bool is refused.
+
+    Any other real than a Python float or int is stored as a Python float, so
+    that families which compare and hash equal also compute alike."""
     for field in fields(family):
         value = getattr(family, field.name)
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise InputError(f"{type(family).__name__} {field.name} must be a real number, got {value!r}")
+        if type(value) not in (float, int):
+            try:
+                object.__setattr__(family, field.name, float(value))
+            except OverflowError:
+                raise InputError(f"{type(family).__name__} {field.name} is beyond float range, got {value!r}") from None
 
 
 # Tabulation stops once the mass left beyond the row is provably below this.

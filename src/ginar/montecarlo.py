@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -171,40 +171,38 @@ def _replicate_block(model, null, n, burn_in, level, cell_seed, ks):
 def run_cell(pi, xi, n, replications, burn_in, level, cell_seed, jobs=None):
     """Run one grid cell; returns (rejections, failures).
 
-    The one-cell case of a grid run: the cell's model and null are built
+    The one-cell grid ``ExperimentGrid((pi,), (xi,), (n,), replications,
+    burn_in, level)``, checked as such: the cell's model and null are built
     once, and its blocks run through the built-in ``map`` for a single job,
     else a process pool's. Replication k uses the substream (cell_seed, k),
     so the result depends neither on ``jobs`` nor on the blocks, and
     ``jobs`` defaults to the CPUs this process may run on.
     """
-    return _run_cells([(pi, xi, n, cell_seed)], replications, burn_in, level, jobs)[0]
+    grid = ExperimentGrid((pi,), (xi,), (n,), replications, burn_in, level)
+    require_int("cell seed", cell_seed, 0)
+    return _run_cells(grid, [(*grid.pi_values, *grid.xi_values, *grid.n_values, cell_seed)], jobs)[0]
 
 
-def _run_cells(cells, replications, burn_in, level, jobs):
-    """Run cells ``(pi, xi, n, cell_seed)`` through one ``map``; returns
-    (rejections, failures) per cell, in order.
+def _run_cells(grid, cells, jobs):
+    """Run cells ``(pi, xi, n, cell_seed)`` of ``grid`` through one ``map``;
+    returns (rejections, failures) per cell, in order.
 
-    Every cell's inputs are checked and its blocks built before the map
-    starts. With more than one job, all blocks of all cells share one
-    process pool, so no cell waits for the slowest block of the one before.
+    Every block is built before the map starts. With more than one job, all
+    blocks of all cells share one process pool, so no cell waits for the
+    slowest block of the one before.
     """
-    require_int("replications", replications, 1)
-    require_int("burn-in", burn_in, 0)
-    require_level(level)
     if jobs is None:
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     else:
         require_int("jobs", jobs, 1)
-    jobs = min(jobs, replications)
+    jobs = min(jobs, grid.replications)
     # blocks of equal size, at most BLOCK, and as many for every worker
-    count = min(replications, jobs * math.ceil(replications / (BLOCK * jobs)))
-    blocks = [range(replications * i // count, replications * (i + 1) // count) for i in range(count)]
+    count = min(grid.replications, jobs * math.ceil(grid.replications / (BLOCK * jobs)))
+    blocks = [range(grid.replications * i // count, grid.replications * (i + 1) // count) for i in range(count)]
     replicates = []
     for pi, xi, n, cell_seed in cells:
         model, null = _cell_model_and_null(pi, xi)
-        require_int("series length", n, _MIN_LENGTH)
-        require_int("cell seed", cell_seed, 0)
-        replicate = functools.partial(_replicate_block, model, null, n, burn_in, level, cell_seed)
+        replicate = functools.partial(_replicate_block, model, null, n, grid.burn_in, grid.level, cell_seed)
         replicates += [replicate] * count
     tasks = blocks * len(cells)
     if jobs == 1:
@@ -212,7 +210,7 @@ def _run_cells(cells, replications, burn_in, level, jobs):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_apply, replicates, tasks, chunksize=math.ceil(count / jobs)))
-    outcomes = np.concatenate(outcomes).reshape(len(cells), replications)
+    outcomes = np.concatenate(outcomes).reshape(len(cells), grid.replications)
     rejections = np.count_nonzero(outcomes == REJECT, axis=1).tolist()
     failures = np.count_nonzero(outcomes >= SINGULAR_GRAM, axis=1).tolist()
     return list(zip(rejections, failures))
@@ -229,7 +227,7 @@ def _derive_cell_seed(master_seed, cell_index):
 
 def _run_grid(grid, cells, jobs):
     seeded = [(pi, xi, n, _derive_cell_seed(grid.master_seed, index)) for index, (pi, xi, n) in enumerate(cells)]
-    counts = _run_cells(seeded, grid.replications, grid.burn_in, grid.level, jobs)
+    counts = _run_cells(grid, seeded, jobs)
     rows = []
     for (pi, xi, n), (rejections, failures) in zip(cells, counts):
         kept = grid.replications - failures
@@ -253,22 +251,15 @@ def run_power_experiment(grid, jobs=None):
     return _run_grid(grid, cells, jobs)
 
 
-_GRID_KEYS = {
-    "pi_values",
-    "xi_values",
-    "n_values",
-    "replications",
-    "burn_in",
-    "level",
-    "seed",
-}
-
-
 def parse_grid_config(text):
     """Parse a plain-text grid config of ``key = value`` lines.
 
-    List-valued keys take comma-separated numbers; ``#`` starts a comment.
+    The keys are ``ExperimentGrid``'s fields, typed and defaulted as there,
+    with ``seed`` for ``master_seed``; ``xi_values`` defaults to (0.0,),
+    which the dataclass cannot give it before ``n_values``. List-valued
+    keys take comma-separated numbers; ``#`` starts a comment.
     """
+    keys = {"seed" if f.name == "master_seed" else f.name: f for f in fields(ExperimentGrid)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -278,41 +269,23 @@ def parse_grid_config(text):
             raise InputError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, rhs = line.partition("=")
         key = key.strip().lower()
-        if key not in _GRID_KEYS:
-            raise InputError(f"line {lineno}: unknown key {key!r} (known: {sorted(_GRID_KEYS)})")
+        if key not in keys:
+            raise InputError(f"line {lineno}: unknown key {key!r} (known: {sorted(keys)})")
         if key in values:
             raise InputError(f"line {lineno}: duplicate key {key!r}")
         values[key] = (lineno, rhs.strip())
-
-    def floats(key, default=None):
-        if key not in values:
-            if default is None:
-                raise InputError(f"missing required key {key!r}")
-            return default
-        lineno, rhs = values[key]
-        try:
-            return tuple(float(tok) for tok in rhs.split(","))
-        except ValueError:
-            raise InputError(f"line {lineno}: bad number list for {key!r}: {rhs!r}") from None
-
-    def scalar(key, conv, default):
-        if key not in values:
-            return default
-        lineno, rhs = values[key]
-        try:
-            return conv(rhs)
-        except ValueError:
-            raise InputError(f"line {lineno}: bad value for {key!r}: {rhs!r}") from None
-
-    return ExperimentGrid(
-        pi_values=floats("pi_values"),
-        xi_values=floats("xi_values", default=(0.0,)),
-        n_values=floats("n_values"),
-        replications=scalar("replications", int, 1000),
-        burn_in=scalar("burn_in", int, 1000),
-        level=scalar("level", float, 0.05),
-        master_seed=scalar("seed", int, 0),
-    )
+    grid = {"xi_values": (0.0,)}
+    for key, field in keys.items():
+        if key in values:
+            lineno, rhs = values[key]
+            try:
+                grid[field.name] = tuple(map(float, rhs.split(","))) if field.type is tuple else field.type(rhs)
+            except ValueError:
+                what = "number list" if field.type is tuple else "value"
+                raise InputError(f"line {lineno}: bad {what} for {key!r}: {rhs!r}") from None
+        elif field.default is MISSING and field.name not in grid:
+            raise InputError(f"missing required key {key!r}")
+    return ExperimentGrid(**grid)
 
 
 def read_grid_config(path):
@@ -326,7 +299,13 @@ _FIELD_FORMATS = {"pi": "g", "xi": "g", "n": ""}
 
 def _format_rates(table, what, row_fields, column):
     """Rates of ``table`` as text: a line per value of ``row_fields``, a column per value of ``column``."""
-    rates = {(tuple(getattr(row, f) for f in row_fields), getattr(row, column)): row.rate for row in table.rows}
+    rates = {}
+    for row in table.rows:
+        cell = tuple(getattr(row, f) for f in row_fields), getattr(row, column)
+        if cell in rates:
+            named = {f: getattr(row, f) for f in row_fields + (column,)}
+            raise InputError(f"a {what} table takes one row per cell, got several at {named}")
+        rates[cell] = row.rate
     keys = sorted({key for key, _ in rates})
     values = sorted({value for _, value in rates})
     width = len(column) + 9  # that of a column label whose value takes up to 8 characters

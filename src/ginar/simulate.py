@@ -299,8 +299,8 @@ def simulate(model, config):
     """Simulate a strictly stationary GINAR(p) path.
 
     Deterministic: identical ``(model, config)`` inputs give identical
-    output. Requires ``config.n >= p + 2`` so downstream estimation has at
-    least one regression row plus slack.
+    output. Requires ``config.n >= p + 2``; fitting the path needs
+    ``n >= 2p + 2`` (``fit_cls`` refuses a shorter one).
     """
     if config.n < model.order + 2:
         raise InputError(

@@ -48,6 +48,9 @@ REFERENCE_SIZE = {
 }
 
 SIZE_MASTER_SEED = 0
+# sha256 of criterion 1's CSV table: a moved cell fails the criterion, not
+# only its summary line
+SIZE_TABLE_SHA256 = "933575e4b0014c30bebf2dfcfc6705f1a4b283b5af65a23fde1ab0722aeb1f54"
 POWER_CELL_SEEDS = {1: 100, 2: 101, 3: 102, 4: 103}
 PERCENTILE_SEED = 302
 
@@ -75,11 +78,12 @@ def test_criterion_1_empirical_size_grid():
         failures += row.failures
     worst_cell = max(deviations, key=deviations.get)
     worst = deviations[worst_cell]
+    sha = hashlib.sha256(table.csv_text().encode()).hexdigest()
     check(
         "criterion 1: empirical size across the null grid (tolerance 0.03)",
-        worst <= 0.03 and failures == 0,
+        worst <= 0.03 and failures == 0 and sha == SIZE_TABLE_SHA256,
         f"worst |rate - reference| = {worst:.4f} at (pi, n) = {worst_cell}, failures = {failures}, "
-        f"table sha256 {hashlib.sha256(table.csv_text().encode()).hexdigest()}",
+        f"table sha256 {sha}",
     )
 
 

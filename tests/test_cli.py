@@ -153,6 +153,13 @@ class TestFitCommand:
         assert run_cli("fit", "--input", str(h0_csv), "--order", "64") == 2
         assert "order" in capsys.readouterr().err
 
+    def test_too_short_series_exits_2(self, tmp_path, capsys):
+        # the fit needs 2p + 2 counts; ginar simulate --length 3 writes a file this short
+        path = tmp_path / "short.csv"
+        path.write_text("count\n1\n2\n0\n")
+        assert run_cli("fit", "--input", str(path), "--order", "1") == 2
+        assert "series length 3 too short for order 1" in capsys.readouterr().err
+
     def test_constant_series_is_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "const.csv"
         path.write_text("count\n" + "2\n" * 30)

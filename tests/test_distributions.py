@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,8 @@ class TestValidation:
             lambda: Poisson(1e19),
             lambda: NegBinomial(1e300, 0.5),
             lambda: NegBinomial(1.0, 1e-300),
+            # too large for a float: stored as one, it must not escape as OverflowError
+            lambda: Poisson(Fraction(10**400)),
         ],
     )
     def test_out_of_range_parameters_rejected(self, ctor):
@@ -120,6 +123,21 @@ class TestValidation:
         assert Bernoulli(np.float64(0.3)) == Bernoulli(0.3)
         assert NegBinomial(np.int64(2), np.float32(0.5)).mean == 2.0
         assert NegBinomialKappa(np.float64(2.0)).coefficients == (2.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "family,args",
+        [(Bernoulli, (0.3,)), (Poisson, (1.3,)), (NegBinomial, (2, 0.3)), (Geometric, (0.35,)),
+         (ZJExtended, (0.3, 0.4)), (BerG, (0.2, 0.1))],
+    )
+    def test_numpy_parameters_compute_as_python_floats(self, family, args):
+        # float32(0.3) is not 0.3; the family equals and hashes as its float64 value,
+        # so it must compute as that value too, not in float32 arithmetic
+        narrow = family(*(np.float32(a) for a in args))
+        wide = family(*(float(np.float32(a)) for a in args))
+        assert narrow == wide and hash(narrow) == hash(wide)
+        assert all(type(v) is float for v in vars(narrow).values())
+        assert repr(narrow.mean) == repr(wide.mean) and repr(narrow.variance) == repr(wide.variance)
+        assert narrow.sum_pmf(5).tobytes() == wide.sum_pmf(5).tobytes()
 
     def test_accepts_exactly_what_numpy_can_sample(self):
         # Poisson and NegBinomial refuse the parameters numpy's samplers refuse

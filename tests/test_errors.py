@@ -62,6 +62,8 @@ INVALID = {
     "build_regressors_bool": lambda: build_regressors(np.array([True, False, True, True, False]), 1),
     "build_regressors_complex": lambda: build_regressors(np.arange(5) + 0j, 1),
     "fit_cls_strings": lambda: fit_cls(["1", "2", "0", "3", "1"], 1),
+    # three counts leave two rows at order 1, one short of the fit: this was a numerical error (exit 3)
+    "fit_cls_too_short": lambda: fit_cls([1, 2, 0], 1),
     # a level given as a string escaped as TypeError
     "run_test_level_str": lambda: run_test(list(range(20)), 1, NullSpec((BernoulliKappa(), BernoulliKappa())), "0.05"),
     "run_cell_level_str": lambda: run_cell(0.3, 0.0, 100, 2, 10, "0.05", cell_seed=1, jobs=1),

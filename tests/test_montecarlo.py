@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,14 @@ class TestDispatch:
         assert run_power_experiment(POWER_GRID, jobs=2).csv_text() == serial
         assert len(serial.splitlines()) == 9 and len(pool_starts) == 1
 
+    @pytest.mark.parametrize("experiment,xi", [(run_size_experiment, 0.0), (run_power_experiment, 0.2)])
+    def test_run_cell_is_a_one_cell_grid(self, experiment, xi):
+        grid = ExperimentGrid((0.3,), (xi,), (60,), replications=20, burn_in=30, level=0.1, master_seed=53)
+        (row,) = experiment(grid, jobs=1).rows
+        seed = montecarlo._derive_cell_seed(grid.master_seed, 0)
+        counts = run_cell(0.3, xi, 60, 20, 30, 0.1, cell_seed=seed, jobs=1)
+        assert (row.pi, row.xi, row.n, row.rejections, row.failures) == (0.3, xi, 60, *counts)
+
     def test_grid_cells_match_run_cell(self):
         # cell i of a grid is run_cell on the seed derived from (master seed, i)
         table = run_power_experiment(POWER_GRID, jobs=2)
@@ -315,6 +324,15 @@ class TestConfigParsing:
         assert grid.n_values == (500, 1000)
         assert grid.replications == 200
         assert grid.master_seed == 42
+        assert grid == ExperimentGrid(
+            pi_values=(0.2, 0.3),
+            xi_values=(0.0,),
+            n_values=(500, 1000),
+            replications=200,
+            burn_in=500,
+            level=0.05,
+            master_seed=42,
+        )
 
     def test_defaults(self):
         grid = parse_grid_config("pi_values = 0.3\nn_values = 100\n")
@@ -377,8 +395,9 @@ class TestTableOutput:
     def test_pretty_tables_mention_cells(self, table):
         text = format_power_table(table)
         assert "xi=0.1" in text and "xi=0.2" in text
-        size_text = format_size_table(table)
-        assert "n=150" in size_text
+        # two xi at (pi 0.3, n 150) would fold into one size-table cell
+        with pytest.raises(InputError, match=re.escape("several at {'pi': 0.3, 'n': 150}")):
+            format_size_table(table)
 
     def test_pretty_tables_exact_text(self):
         # missing cells print as blanks; rows and columns sort by value
